@@ -441,9 +441,12 @@ def _lower_forms(
 class _Lowering:
     """A circuit as integer rows, biases, scales and gate kinds per layer.
 
-    ``use_object`` is the static int64 bound for the cube: it is set when a
-    forward pass over +-1 inputs might produce an intermediate of 2^62 or
-    more, counting the scaled LTF outputs +-den.
+    ``bound`` is a static bound on every intermediate of a forward pass over
+    inputs of magnitude at most 1 with ``x_den`` 1, counting the scaled LTF
+    outputs +-den; inputs of magnitude at most mu over ``x_den`` <= mu scale
+    it by mu.  ``output_den`` is the output pre-activation's denominator when
+    ``x_den`` is 1; the kernel multiplies int64 arrays by it.  ``use_object``
+    is set when either reaches 2^62 on the cube.
     """
 
     def __init__(self, circuit: Circuit):
@@ -482,7 +485,9 @@ class _Lowering:
             + (skip_abs + abs(skip_bias)) * den * out_scale
             + abs(out_bias) * den * skip_scale
         )
-        self.use_object = max(bound, out_bound) >= _INT64_SAFE
+        self.bound = max(bound, out_bound)
+        self.output_den = den * out_scale * skip_scale
+        self.use_object = max(self.bound, self.output_den) >= _INT64_SAFE
         self.output_kind = circuit.output_gate.kind
         self._arrays: dict[bool, tuple] = {}
 
@@ -549,7 +554,10 @@ def _forward(
                 if kind is GateKind.RELU:
                     values[g] = np.maximum(raw[g], 0)
                 elif kind is GateKind.LTF:
-                    values[g] = np.where(raw[g] >= 0, layer_den, -layer_den)
+                    # a 0-d array of the layer's dtype keeps a denominator
+                    # beyond int64 exact on the object path
+                    ltf_den = np.array(layer_den, dtype=raw.dtype)
+                    values[g] = np.where(raw[g] >= 0, ltf_den, -ltf_den)
     if keep_last_hidden and layers:
         last_hidden = values
 

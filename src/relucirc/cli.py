@@ -38,12 +38,7 @@ from .experiments import (
     survival_report,
 )
 from .hardfuncs import ComposedParams, composed_function
-from .pwl import (
-    first_grid_mismatch,
-    load_pwl,
-    refutation_to_json,
-    refute_max0xy,
-)
+from .pwl import first_grid_mismatch, refute_max0xy
 from .restriction import (
     Restriction,
     WeightDistribution,
@@ -54,22 +49,23 @@ from .restriction import (
 from .serialize import (
     circuit_to_json,
     load_circuit,
+    load_pwl,
     rational_to_str,
+    refutation_to_json,
     table_from_hex,
 )
 from .signrank import (
     RationalMatrix,
     SignMatrix,
     VertexOrdering,
+    _verified_block_bound,
     exact_rank,
     forster_lower_bound,
     inner_product_matrix,
-    pre_sign_matrix,
     random_cone_circuit,
     sign_matrix,
     sign_pattern,
     sign_rank_is_one,
-    verify_block_bound,
 )
 
 # the reference-circuit stream must not replay the probe's stream for the
@@ -228,11 +224,8 @@ def cmd_signrank(args) -> int:
         rng = random.Random(args.seed)
         circuit = random_cone_circuit(args.m, args.widths, args.weight_bound, rng)
         sigma = VertexOrdering.standard(args.m)
-        report = verify_block_bound(
+        report, matrix = _verified_block_bound(
             circuit, args.m, args.weight_bound, sigma, sigma, cap=_cap(args, args.m)
-        )
-        signs = sign_pattern(
-            pre_sign_matrix(circuit, args.m, sigma, sigma, cap=_cap(args, args.m))
         )
         payload = {
             "command": "signrank",
@@ -244,7 +237,7 @@ def cmd_signrank(args) -> int:
                 "seed": args.seed,
             },
             **report,
-            "forster": forster_lower_bound(signs),
+            "forster": forster_lower_bound(sign_pattern(matrix)),
             "seed": args.seed,
         }
         _emit(args, payload)

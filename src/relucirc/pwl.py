@@ -5,22 +5,31 @@ differentiable everywhere except on a union of full lines.  The target
 max{0, x1, x2} kinks on three half-lines instead, so any such sum either has
 a kink where the target is smooth or is affine and misses the target's value
 somewhere.  This module computes the kink locus and builds those witnesses.
+
+The grid scans (`grid_max_error`, `first_grid_mismatch`) put the grid on an
+integer axis k * sn/sd and run exact integer numpy arithmetic over whole
+slabs of grid points: int64 when a static bound computed up front stays
+below 2^62, Python-int object arrays otherwise.  A slab holds at most 2^18
+points, so memory stays bounded whatever the grid's size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .circuit import (
+    _INT64_SAFE,
     ArityError,
     Circuit,
     ContractError,
     GateKind,
     InvariantViolationError,
     Rational,
-    evaluate,
+    _forward,
     exact,
     gate_wire,
     parse_wire,
@@ -223,25 +232,69 @@ class RefutationReport:
     grid_max_error: Fraction
 
 
-def grid_points(radius: Rational, step: Rational) -> list[Fraction]:
+_SLAB_POINTS = 1 << 18  # grid points per slab of a scan
+
+
+def _grid_axis(radius: Rational, step: Rational) -> tuple[int, int, int]:
+    """(count, sn, sd): the grid axis is k * sn/sd for k = -count..count."""
     r, s = exact(radius), exact(step)
     if s <= 0 or r < 0:
         raise ArityError("grid needs radius >= 0 and step > 0")
-    count = int(r / s)
-    return [k * s for k in range(-count, count + 1)]
+    return int(r / s), s.numerator, s.denominator
+
+
+def _grid_slabs(count: int, use_object: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(k1, k2) of the grid's points in row-major order (k1 outer), at most
+    _SLAB_POINTS at a time, as int64 or as Python-int object arrays."""
+    side = 2 * count + 1
+    total = side * side
+    for start in range(0, total, _SLAB_POINTS):
+        row, col = divmod(start, side)
+        flat = col + np.arange(min(_SLAB_POINTS, total - start), dtype=np.int64)
+        k1, k2 = flat // side + (row - count), flat % side - count
+        if use_object:
+            k1, k2 = k1.astype(object), k2.astype(object)
+        yield k1, k2
+
+
+def grid_points(radius: Rational, step: Rational) -> list[Fraction]:
+    count, sn, sd = _grid_axis(radius, step)
+    return [Fraction(k * sn, sd) for k in range(-count, count + 1)]
 
 
 def grid_max_error(
     f: PwlSum, radius: Rational = 10, step: Rational = Fraction(1, 2)
 ) -> Fraction:
-    axis = grid_points(radius, step)
-    worst = Fraction(0)
-    for p1 in axis:
-        for p2 in axis:
-            gap = abs(f.value((p1, p2)) - max(Fraction(0), p1, p2))
-            if gap > worst:
-                worst = gap
-    return worst
+    """max |f(p) - max{0, p1, p2}| over the grid, exactly.
+
+    At p = (k1, k2) * sn/sd, a term whose coefficients have lcm denominator
+    lam has lam * sd * arg = A1*sn*k1 + A2*sn*k2 + B*sd in integers.  Over
+    D = sd * M, with M the lcm of the terms' coeff denominator times lam,
+    the sum and the target max{0, k1, k2} * sn * M are integer numerators.
+    """
+    count, sn, sd = _grid_axis(radius, step)
+    scaled = []
+    for t in f.terms:
+        if not t.coeff:
+            continue
+        lam = math.lcm(t.normal[0].denominator, t.normal[1].denominator, t.bias.denominator)
+        a1, a2, b = (int(v * lam) for v in (*t.normal, t.bias))
+        scaled.append((t.coeff, lam, (a1 * sn, a2 * sn, b * sd)))
+    m = math.lcm(*(c.denominator * lam for c, lam, _ in scaled))
+    terms = [(c.numerator * (m // (c.denominator * lam)), arg) for c, lam, arg in scaled]
+    target = sn * m
+    # every coefficient, argument and partial sum below is at most `bound`
+    reach = max(count, 1)
+    bound = reach * target + sum(
+        abs(w) * ((abs(a1) + abs(a2)) * reach + abs(b) + 1) for w, (a1, a2, b) in terms
+    )
+    worst = 0
+    for k1, k2 in _grid_slabs(count, bound >= _INT64_SAFE):
+        gap = np.maximum(np.maximum(k1, k2), 0) * target
+        for w, (a1, a2, b) in terms:
+            gap -= w * np.maximum(a1 * k1 + a2 * k2 + b, 0)
+        worst = max(worst, int(np.abs(gap).max()))
+    return Fraction(worst, sd * m)
 
 
 def _smooth_point_on(line: CanonicalLine, others: Sequence[CanonicalLine]) -> Point:
@@ -300,16 +353,37 @@ def refute_max0xy(
 def first_grid_mismatch(
     circuit: Circuit, radius: Rational = 10, step: Rational = Fraction(1, 2)
 ) -> tuple[Point, Fraction, Fraction] | None:
-    """First grid point where the circuit and max{0, x1, x2} differ, if any."""
+    """First grid point, in row-major order (p1 outer), where the circuit and
+    max{0, x1, x2} differ, if any.
+
+    Each slab of grid points runs through the circuit's integer kernel as
+    the columns of x = (k1, k2) * sn over x_den = sd.  Inputs then have
+    magnitude at most mu = max(count * sn, sd), which scales the lowering's
+    static bound by mu; the int64 path is taken only when that stays below
+    2^62.
+    """
     if circuit.input_count != 2:
         raise ArityError("expected a circuit on two inputs")
-    axis = grid_points(radius, step)
-    for p1 in axis:
-        for p2 in axis:
-            got = evaluate(circuit, (p1, p2))
-            want = max(Fraction(0), p1, p2)
-            if got != want:
-                return ((p1, p2), got, want)
+    count, sn, sd = _grid_axis(radius, step)
+    low = circuit._lowered
+    mu = max(count * sn, sd)
+    use_object = mu * max(low.bound, low.output_den) >= _INT64_SAFE
+    # the target's numerator over the output denominator sd * output_den
+    target = sn * low.output_den
+    kind = circuit.output_gate.kind
+    for k1, k2 in _grid_slabs(count, use_object):
+        fwd = _forward(low, np.stack([k1 * sn, k2 * sn]), sd)
+        got, den = fwd.output_pre_num, fwd.output_pre_den
+        if kind is GateKind.RELU:
+            got = np.maximum(got, 0)
+        elif kind is GateKind.LTF:
+            ltf_den = np.array(den, dtype=got.dtype)
+            got = np.where(got >= 0, ltf_den, -ltf_den)
+        bad = np.flatnonzero(got != np.maximum(np.maximum(k1, k2), 0) * target)
+        if bad.size:
+            i = bad[0]
+            point = (Fraction(int(k1[i]) * sn, sd), Fraction(int(k2[i]) * sn, sd))
+            return point, Fraction(int(got[i]), den), max(Fraction(0), *point)
     return None
 
 
@@ -318,95 +392,6 @@ def verify_depth2_max(
 ) -> bool:
     """Exact equality with max{0, x1, x2} on the whole rational grid."""
     return first_grid_mismatch(circuit, grid_radius, grid_step) is None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def pwl_to_json(f: PwlSum) -> dict:
-    from .serialize import rational_to_str
-
-    return {
-        "terms": [
-            {
-                "coeff": rational_to_str(t.coeff),
-                "normal": [rational_to_str(t.normal[0]), rational_to_str(t.normal[1])],
-                "bias": rational_to_str(t.bias),
-            }
-            for t in f.terms
-        ]
-    }
-
-
-def pwl_from_json(doc: dict) -> PwlSum:
-    from .serialize import FormatError, rational_from_str
-
-    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
-        raise FormatError("expected an object with a 'terms' list")
-    terms = []
-    for i, raw in enumerate(doc["terms"]):
-        try:
-            normal = raw["normal"]
-            if len(normal) != 2:
-                raise FormatError(f"term {i}: normal must have two coordinates")
-            terms.append(
-                PwlTerm(
-                    rational_from_str(raw["coeff"]),
-                    (rational_from_str(normal[0]), rational_from_str(normal[1])),
-                    rational_from_str(raw["bias"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"term {i} is malformed: {exc}") from exc
-    return PwlSum(tuple(terms))
-
-
-def dump_pwl(f: PwlSum, path: str) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pwl_to_json(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_pwl(path: str) -> PwlSum:
-    import json
-
-    from .serialize import FormatError
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    return pwl_from_json(doc)
-
-
-def refutation_to_json(report: RefutationReport) -> dict:
-    from .serialize import rational_to_str
-
-    w = report.witness
-    witness = {
-        "kind": w.kind,
-        "point": [rational_to_str(w.point[0]), rational_to_str(w.point[1])],
-        "direction": None
-        if w.direction is None
-        else [rational_to_str(w.direction[0]), rational_to_str(w.direction[1])],
-        "fResult": rational_to_str(w.f_result),
-        "targetResult": rational_to_str(w.target_result),
-    }
-    return {
-        "locusLines": [
-            {
-                "normal": list(loc.line.normal),
-                "offset": rational_to_str(loc.line.offset),
-                "jump": [rational_to_str(loc.jump[0]), rational_to_str(loc.jump[1])],
-            }
-            for loc in report.locus.lines
-        ],
-        "witness": witness,
-        "gridMaxError": rational_to_str(report.grid_max_error),
-    }
 
 
 def pwl_from_depth2(circuit: Circuit) -> PwlSum:

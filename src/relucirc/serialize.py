@@ -1,4 +1,5 @@
-"""JSON circuit files and hex truth tables.
+"""JSON documents: circuits, planar ReLU sums and refutation reports, plus
+hex truth tables.
 
 Rationals travel as "p/q" strings in lowest terms (a bare "p" is accepted on
 input).  The circuit document shape is::
@@ -7,6 +8,8 @@ input).  The circuit document shape is::
      "layers": [[{"kind": "RELU", "weights": {"x1": "1/1"}, "bias": "0/1"}]],
      "outputGate": {...},
      "skipWires": {...} | null}
+
+and a ReLU sum is ``{"terms": [{"coeff": ..., "normal": [..., ...], "bias": ...}]}``.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .circuit import (
     TruthTable,
     WireError,
 )
+from .pwl import PwlSum, PwlTerm, RefutationReport
 
 
 class FormatError(ArityError):
@@ -139,3 +143,77 @@ def table_from_hex(arity: int, text: str) -> TruthTable:
         raise
     except (ArityError, ValueError) as e:
         raise FormatError(f"bad hex table: {e}") from None
+
+
+def pwl_to_json(f: PwlSum) -> dict:
+    return {
+        "terms": [
+            {
+                "coeff": rational_to_str(t.coeff),
+                "normal": [rational_to_str(t.normal[0]), rational_to_str(t.normal[1])],
+                "bias": rational_to_str(t.bias),
+            }
+            for t in f.terms
+        ]
+    }
+
+
+def pwl_from_json(doc: dict) -> PwlSum:
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+        raise FormatError("expected an object with a 'terms' list")
+    terms = []
+    for i, raw in enumerate(doc["terms"]):
+        try:
+            normal = raw["normal"]
+            if len(normal) != 2:
+                raise FormatError(f"term {i}: normal must have two coordinates")
+            terms.append(
+                PwlTerm(
+                    rational_from_str(raw["coeff"]),
+                    (rational_from_str(normal[0]), rational_from_str(normal[1])),
+                    rational_from_str(raw["bias"]),
+                )
+            )
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"term {i} is malformed: {exc}") from exc
+    return PwlSum(tuple(terms))
+
+
+def dump_pwl(f: PwlSum, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(pwl_to_json(f), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_pwl(path: str) -> PwlSum:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
+    return pwl_from_json(doc)
+
+
+def refutation_to_json(report: RefutationReport) -> dict:
+    w = report.witness
+    witness = {
+        "kind": w.kind,
+        "point": [rational_to_str(w.point[0]), rational_to_str(w.point[1])],
+        "direction": None
+        if w.direction is None
+        else [rational_to_str(w.direction[0]), rational_to_str(w.direction[1])],
+        "fResult": rational_to_str(w.f_result),
+        "targetResult": rational_to_str(w.target_result),
+    }
+    return {
+        "locusLines": [
+            {
+                "normal": list(loc.line.normal),
+                "offset": rational_to_str(loc.line.offset),
+                "jump": [rational_to_str(loc.jump[0]), rational_to_str(loc.jump[1])],
+            }
+            for loc in report.locus.lines
+        ],
+        "witness": witness,
+        "gridMaxError": rational_to_str(report.grid_max_error),
+    }

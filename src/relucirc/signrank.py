@@ -505,6 +505,18 @@ def verify_block_bound(
     exact rank is at most min(row blocks, col blocks).  Returns a report of
     everything measured.
     """
+    return _verified_block_bound(circuit, m, bound, sigma_row, sigma_col, cap)[0]
+
+
+def _verified_block_bound(
+    circuit: Circuit,
+    m: int,
+    bound: int,
+    sigma_row: VertexOrdering,
+    sigma_col: VertexOrdering,
+    cap: int | None = None,
+) -> tuple[dict, RationalMatrix]:
+    """`verify_block_bound`'s report, with the pre-sign matrix it checked."""
     if circuit.skip_wires is not None:
         raise ContractError("skip wires are not supported here")
     if circuit.output_gate.kind is not GateKind.LTF:
@@ -543,7 +555,7 @@ def verify_block_bound(
         raise InvariantViolationError(
             f"rank {rank} exceeds min block count"
         )
-    return {
+    report = {
         "m": m,
         "W": bound,
         "widths": list(circuit.widths),
@@ -552,3 +564,4 @@ def verify_block_bound(
         "bound": block_bound,
         "exactRank": rank,
     }
+    return report, matrix

@@ -68,6 +68,51 @@ def scalar_table(circuit):
     return TruthTable.from_signs(n, signs)
 
 
+def scalar_grid(radius, step):
+    """The grid axis k * step for |k * step| <= radius, listed point by point."""
+    radius, step = Fraction(radius), Fraction(step)
+    axis = [Fraction(0)]
+    while axis[-1] + step <= radius:
+        axis.append(axis[-1] + step)
+    return [-v for v in reversed(axis[1:])] + axis
+
+
+def scalar_max0(p):
+    return max(Fraction(0), Fraction(p[0]), Fraction(p[1]))
+
+
+def scalar_pwl_value(f, p):
+    """sum_i c_i * max{0, <a_i, p> + b_i}, from the terms' fields alone."""
+    total = Fraction(0)
+    for t in f.terms:
+        arg = t.normal[0] * p[0] + t.normal[1] * p[1] + t.bias
+        if arg > 0:
+            total += t.coeff * arg
+    return total
+
+
+def scalar_grid_max_error(f, radius, step):
+    axis = scalar_grid(radius, step)
+    return max(
+        abs(scalar_pwl_value(f, (a, b)) - scalar_max0((a, b)))
+        for a in axis
+        for b in axis
+    )
+
+
+def scalar_first_grid_mismatch(circuit, radius, step):
+    """(point, got, want) at the first grid point, p1 outer and p2 inner,
+    where the circuit differs from max{0, x1, x2}; None if there is none."""
+    axis = scalar_grid(radius, step)
+    for a in axis:
+        for b in axis:
+            got = scalar_evaluate(circuit, (a, b))
+            want = scalar_max0((a, b))
+            if got != want:
+                return ((a, b), got, want)
+    return None
+
+
 def random_circuit(rng, n, depth, max_width, *, span=9, rational=True,
                    skip_ok=True, out_kind=GateKind.LTF, bottom_relu_only=False):
     """Random layered circuit; weights are small rationals by default."""

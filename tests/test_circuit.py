@@ -231,6 +231,31 @@ def test_evaluate_matches_scalar_oracle_off_the_cube(rng):
             assert evaluate(c, p) == scalar_evaluate(c, p)
 
 
+def test_evaluate_ltf_hidden_gates_with_denominators_beyond_int64(rng):
+    # at these points a hidden LTF gate's scaled output +-den is past int64
+    sign = Gate(GateKind.LTF, affine({input_wire(1): 1, input_wire(2): -1}))
+    c = Circuit(2, ((sign,),), Gate(GateKind.SUM, affine({gate_wire(1, 1): 3})))
+    for _ in range(20):
+        p = tuple(Fraction(rng.randint(-9, 9), 10**20 + rng.randint(1, 99)) for _ in range(2))
+        assert evaluate(c, p) == (3 if p[0] >= p[1] else -3)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        c = random_circuit(rng, n, 3, 3)
+        p = tuple(Fraction(rng.randint(-40, 40), 10**20 + rng.randint(1, 99)) for _ in range(n))
+        assert evaluate(c, p) == scalar_evaluate(c, p)
+
+
+def test_bulk_path_survives_an_output_denominator_beyond_int64():
+    # small numerators, but the hidden and output scales multiply past 2^62
+    p, q = 2**41 + 15, 2**41 + 21
+    hidden = Gate(GateKind.RELU, affine({input_wire(1): Fraction(1, p)}, 0))
+    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1, q)}, 0))
+    c = Circuit(1, ((hidden,),), out, None)
+    assert truth_table(c) == scalar_table(c)
+    fwd = forward_on_cube(c)
+    assert [fwd.output_pre(i) for i in range(2)] == [Fraction(1, p * q), 0]
+
+
 def test_bulk_path_survives_huge_weights(rng):
     # weights near 10^19 force the object-array fallback
     for _ in range(20):

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 from relucirc import (
+    Circuit,
+    Gate,
     InvariantViolationError,
     ResourceCapError,
     Restriction,
     TruthTable,
+    affine,
     apply_restriction,
     dump_circuit,
     dump_pwl,
@@ -420,6 +423,49 @@ def test_cli_refute_circuit_reports_mismatches(capsys, tmp_path):
     p = (Fraction(point[0]), Fraction(point[1]))
     assert evaluate(parity_sum_of_relu(2), p) == got
     assert max(0, p[0], p[1]) == want
+
+
+REFUTE_GOLDEN = [
+    ("refute-max_pwl_two-term.json", ["--pwl", "input_pwl_two-term.json"]),
+    ("refute-max_circuit_max0xy.json", ["--circuit", "input_circuit_max0xy.json"]),
+    (
+        "refute-max_circuit_max0xy-perturbed_step1-3.json",
+        ["--circuit", "input_circuit_max0xy-perturbed.json", "--grid-step", "1/3"],
+    ),
+]
+
+
+def _golden_refute_inputs():
+    """The documents behind the input_*.json golden files."""
+    c = max0xy_depth2()
+    g = c.layers[0][0]
+    nudged = Gate(g.kind, affine(dict(g.form.weights), g.form.bias - Fraction(1, 7)))
+    perturbed = Circuit(
+        2, ((nudged,) + c.layers[0][1:],) + c.layers[1:], c.output_gate, c.skip_wires
+    )
+    return {
+        "input_pwl_two-term.json": (
+            dump_pwl,
+            pwl_sum([(Fraction(3, 2), (1, -2), Fraction(1, 3)), (-1, (0, 1), 2)]),
+        ),
+        "input_circuit_max0xy.json": (dump_circuit, c),
+        "input_circuit_max0xy-perturbed.json": (dump_circuit, perturbed),
+    }
+
+
+def test_golden_refute_inputs_are_rebuilt_byte_for_byte(tmp_path):
+    for name, (dump, doc) in _golden_refute_inputs().items():
+        dump(doc, str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("golden, args", REFUTE_GOLDEN)
+def test_cli_refute_max_bytes_match_golden(capsys, monkeypatch, golden, args):
+    # captured before the grid scans ran on integer arrays; the report
+    # names its input file, so the inputs are read from the golden directory
+    monkeypatch.chdir(GOLDEN)
+    assert run_cli(["refute-max", *args]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_cli_refute_sources_are_exclusive(tmp_path):

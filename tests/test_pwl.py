@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relucirc import (
@@ -32,7 +33,15 @@ from relucirc import (
     refute_max0xy,
     verify_depth2_max,
 )
+from relucirc import pwl
 from relucirc.pwl import grid_points
+
+from conftest import (
+    random_circuit,
+    scalar_first_grid_mismatch,
+    scalar_grid,
+    scalar_grid_max_error,
+)
 
 
 def finite_difference_slope(f, p, v):
@@ -344,6 +353,186 @@ def test_grid_error_values():
     assert grid_max_error(pwl_sum([]), 0, 1) == 0
     assert grid_max_error(pwl_sum([]), 1, 1) == 1
     assert grid_max_error(pwl_sum([(1, (1, 0), 0)]), 1, Fraction(1, 2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer grid scans against the scalar oracles
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """One record per grid scan: whether its slabs held Python-int object
+    arrays, and how many slabs it read."""
+    records = []
+    slabs = pwl._grid_slabs
+
+    def spy(count, use_object):
+        record = {"object": use_object, "slabs": 0}
+        records.append(record)
+        for slab in slabs(count, use_object):
+            record["slabs"] += 1
+            yield slab
+
+    monkeypatch.setattr(pwl, "_grid_slabs", spy)
+    return records
+
+
+def test_grid_max_error_matches_the_scalar_oracle(rng, scans):
+    def q(span, den):
+        return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+    for trial in range(100):
+        terms = [
+            (q(4, 3), (q(3, 2), q(3, 2)), q(4, 5)) for _ in range(rng.randint(0, 5))
+        ]
+        huge = trial % 4 == 3
+        if huge:
+            # one live term with a coefficient, normal or bias near 10^20
+            big = Fraction(rng.choice((-1, 1)) * (10**20 + rng.randint(0, 99)), rng.randint(1, 3))
+            c, a, b = Fraction(rng.randint(1, 4), rng.randint(1, 3)), (q(3, 2), q(3, 2)), q(4, 5)
+            slot = rng.randrange(3)
+            terms.insert(
+                rng.randint(0, len(terms)),
+                (big if slot == 0 else c, (big, a[1]) if slot == 1 else a, big if slot == 2 else b),
+            )
+        f = pwl_sum(terms)
+        radius = Fraction(rng.randint(0, 4), rng.randint(1, 2))
+        step = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        assert grid_max_error(f, radius, step) == scalar_grid_max_error(f, radius, step)
+        assert scans[-1]["object"] is huge
+
+
+def _max_layers(scale=None):
+    """max0xy_depth2's gates as editable (kind, weights, bias) rows, and its
+    output weights and bias.  With scale = (k, j, s), hidden gate j of layer
+    k (0-based) is multiplied by s > 0 and its readers' weights divided back,
+    which keeps the function."""
+    c = max0xy_depth2()
+    layers = [[(g.kind, dict(g.form.weights), g.form.bias) for g in layer] for layer in c.layers]
+    out_w, out_b = dict(c.output_gate.form.weights), c.output_gate.form.bias
+    if scale is not None:
+        k, j, s = scale
+        kind, w, b = layers[k][j]
+        layers[k][j] = (kind, {x: v * s for x, v in w.items()}, b * s)
+        wire = gate_wire(k + 1, j + 1)
+        for reader in (out_w,) if k == 1 else (w for _, w, _ in layers[1]):
+            if wire in reader:
+                reader[wire] /= s
+    return layers, out_w, out_b
+
+
+def _max_circuit(layers, out_kind, out_w, out_b):
+    return Circuit(
+        2,
+        tuple(tuple(Gate(kind, affine(w, b)) for kind, w, b in layer) for layer in layers),
+        Gate(out_kind, affine(out_w, out_b)),
+        max0xy_depth2().skip_wires,
+    )
+
+
+def _max_circuit_variant(rng, out_kind, huge):
+    """max0xy_depth2 (skip wires included) under an `out_kind` output gate.
+
+    With `huge`, one hidden gate is scaled by about 10^20, which forces
+    object arrays.  Half the time one hidden gate is then nudged: its bias
+    moves, or it turns into an LTF gate.  A RELU output keeps max{0, x1, x2},
+    which is >= 0.
+    """
+    scale = None
+    if huge:
+        scale = (rng.randrange(2), rng.randrange(3), Fraction(10**20 + rng.randint(1, 99), rng.randint(1, 3)))
+    layers, out_w, out_b = _max_layers(scale)
+    if rng.random() < 0.5:
+        k, j = rng.randrange(2), rng.randrange(3)
+        kind, w, b = layers[k][j]
+        if rng.random() < 0.5:
+            layers[k][j] = (GateKind.LTF, w, b)
+        else:
+            layers[k][j] = (kind, w, b + Fraction(rng.choice((-1, 1)), rng.randint(1, 9)))
+    return _max_circuit(layers, out_kind, out_w, out_b)
+
+
+def test_first_grid_mismatch_matches_the_scalar_oracle(rng, scans):
+    seen = set()
+    for trial in range(96):
+        out_kind = (GateKind.SUM, GateKind.RELU, GateKind.LTF)[trial % 3]
+        huge = trial % 6 >= 3
+        if trial % 8 == 7:
+            c = random_circuit(
+                rng, 2, rng.randint(1, 3), 3, out_kind=out_kind, span=10**19 if huge else 9
+            )
+        else:
+            c = _max_circuit_variant(rng, out_kind, huge)
+        radius = rng.randint(1, 3)
+        step = Fraction(rng.choice((1, 2)), rng.randint(1, 3))
+        got = first_grid_mismatch(c, radius, step)
+        assert got == scalar_first_grid_mismatch(c, radius, step)
+        assert scans[-1]["object"] is huge
+        first = (-scalar_grid(radius, step)[-1],) * 2
+        outcome = "none" if got is None else "first" if got[0] == first else "later"
+        seen.add((out_kind, huge, outcome))
+    for huge in (False, True):
+        for kind in (GateKind.SUM, GateKind.RELU):
+            assert {(kind, huge, "none"), (kind, huge, "later")} <= seen
+        # an LTF output is +-1 and the target is 0 at (-r, -r)
+        assert (GateKind.LTF, huge, "first") in seen
+
+
+def test_the_int64_bound_counts_the_grid_step(scans):
+    # small coefficients, but a step whose numerator and denominator are
+    # near 2^60 puts the grid coordinates' numerators near 2^61
+    fine, coarse = Fraction(2**60 + 1, 2**60), Fraction(1, 2)
+    f = pwl_sum([(Fraction(3, 2), (1, -2), Fraction(1, 3)), (-1, (0, 1), 2)])
+    layers, out_w, out_b = _max_layers()
+    kind, w, b = layers[1][0]
+    layers[1][0] = (kind, w, b - Fraction(1, 5))
+    nudged = _max_circuit(layers, GateKind.SUM, out_w, out_b)
+    for step in (fine, coarse):
+        assert grid_max_error(f, 3, step) == scalar_grid_max_error(f, 3, step)
+        for c in (max0xy_depth2(), nudged):
+            assert first_grid_mismatch(c, 3, step) == scalar_first_grid_mismatch(c, 3, step)
+    assert [r["object"] for r in scans] == [True] * 3 + [False] * 3
+    assert verify_depth2_max(max0xy_depth2(), 3, fine)
+    assert not verify_depth2_max(nudged, 3, fine)
+    # no terms: the target alone passes 2^63 at k = 4, with a step numerator
+    # just above 2^61
+    step = Fraction(2**61 + 1, 2**61)
+    assert grid_max_error(pwl_sum([]), 5, step) == 4 * step
+    assert scans[-1]["object"]
+
+
+def test_scans_of_a_grid_wider_than_one_slab(scans):
+    radius, step = 300, Fraction(1, 2)
+    side = 2 * 600 + 1   # radius / step = 600
+    slabs = (side * side + 2**18 - 1) // 2**18
+    assert slabs == 6
+    # the slabs list every point once, in row-major order
+    k1, k2 = (np.concatenate(ks) for ks in zip(*pwl._grid_slabs(600, False)))
+    axis = np.arange(-600, 601)
+    assert np.array_equal(k1, np.repeat(axis, side))
+    assert np.array_equal(k2, np.tile(axis, side))
+    assert grid_max_error(pwl_sum([]), radius, step) == radius
+    assert verify_depth2_max(max0xy_depth2(), radius, step)
+    assert [r["slabs"] for r in scans] == [slabs] * 3
+
+    # a fourth second-layer gate ReLU(ReLU(x1) - 250), read with weight 1/3,
+    # changes the output only where x1 > 250
+    c = max0xy_depth2()
+    extra = Gate(GateKind.RELU, affine({gate_wire(1, 1): 1}, -250))
+    out = c.output_gate.form
+    broken = Circuit(
+        2,
+        (c.layers[0], c.layers[1] + (extra,)),
+        Gate(GateKind.SUM, affine({**out.weights, gate_wire(2, 4): Fraction(1, 3)}, out.bias)),
+        c.skip_wires,
+    )
+    point = (Fraction(501, 2), Fraction(-300))
+    assert first_grid_mismatch(broken, radius, step) == (
+        point, Fraction(501, 2) + Fraction(1, 6), Fraction(501, 2)
+    )
+    # its flat index (501 + 600) * side lies in the last slab
+    assert (501 + 600) * side // 2**18 == slabs - 1
+    assert scans[-1] == {"object": False, "slabs": slabs}
 
 
 # ---------------------------------------------------------------------------
