@@ -200,6 +200,27 @@ def test_cli_construct_universal_bytes_match_golden(capsys, kind, table):
     assert capsys.readouterr().out == golden
 
 
+CONSTRUCT_GOLDEN = [
+    ("construct_parity_k5.json", ["parity", "--k", "5"]),
+    ("construct_max0xy.json", ["max0xy"]),
+    (
+        "construct_ltf2relu_weights1,2,-3_bias1-2.json",
+        ["ltf2relu", "--weights", "1,2,-3", "--bias", "1/2"],
+    ),
+    (
+        "construct_linear_weights1-2,-1_bias2.json",
+        ["linear", "--weights", "1/2,-1", "--bias", "2"],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, args", CONSTRUCT_GOLDEN)
+def test_cli_construct_bytes_match_golden(capsys, golden, args):
+    # captured while circuits still keyed their weights by wire id
+    assert run_cli(["construct", *args]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_cli_construct_ltf2relu(capsys):
     doc = cli_json(
         capsys, ["construct", "ltf2relu", "--weights", "1,1", "--bias", "-1"]
@@ -265,6 +286,28 @@ def test_cli_restrict_apply_missing_file(tmp_path):
     assert run_cli(["restrict", "apply", "--circuit", missing, "--fix", "1=1"]) == 2
 
 
+RESTRICT_GOLDEN = [
+    # depth 2: a zero gate, and linearized gates rerouted into the skip wires
+    ("depth2", "1=1,4=-1"),
+    # depth 3: the bottom layer is rewritten in place
+    ("depth3", "2=-1,3=1"),
+    # depth 3 and 4: the whole bottom layer is forced to zero
+    ("depth3-vanishing", "1=1,2=-1"),
+    ("depth4-vanishing", "1=1,2=-1"),
+]
+
+
+@pytest.mark.parametrize("name, fix", RESTRICT_GOLDEN)
+def test_cli_restrict_apply_bytes_match_golden(capsys, monkeypatch, name, fix):
+    # captured while circuits still keyed their weights by wire id; the
+    # report names its input file, so the inputs are read from the golden
+    # directory
+    monkeypatch.chdir(GOLDEN)
+    argv = ["restrict", "apply", "--circuit", f"input_restrict_{name}.json", "--fix", fix]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"restrict-apply_{name}.json").read_text()
+
+
 def test_cli_restrict_survival_json(capsys):
     doc = cli_json(capsys, [
         "restrict", "survival", "--n-list", "8,16", "--gates", "4",
@@ -302,6 +345,13 @@ def test_cli_signrank_random(capsys):
     assert 1 <= doc["exactRank"] <= doc["bound"]
     assert doc["rowBlocks"] <= doc["bound"] and doc["colBlocks"] <= doc["bound"]
     assert doc["forster"] >= 1.0
+
+
+def test_cli_signrank_random_bytes_match_golden(capsys):
+    # captured while circuits still keyed their weights by wire id
+    assert run_cli(["signrank", "random", "--m", "3", "--widths", "2,2", "--seed", "11"]) == 0
+    golden = GOLDEN / "signrank_random_m3_widths2,2_seed11.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_cli_signrank_inner_product(capsys):
