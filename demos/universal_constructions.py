@@ -14,7 +14,6 @@ from relucirc import (
     TruthTable,
     affine,
     evaluate,
-    input_wire,
     ltf_to_relu,
     parity_sum_of_relu,
     truth_table,
@@ -38,7 +37,7 @@ for k in (3, 8):
 # shifted hinges is 1 exactly when the argument clears the threshold.
 majority = Gate(
     GateKind.LTF,
-    affine({input_wire(1): 1, input_wire(2): 1, input_wire(3): 1}, 0),
+    affine({0: 1, 1: 1, 2: 1}, 0),
 )
 two_relu = ltf_to_relu(majority, 3)
 print(f"\nmajority of 3 as ReLUs: {two_relu.relu_count} gates")

@@ -26,10 +26,7 @@ from .circuit import (
     evaluate,
     exact,
     forward_on_cube,
-    gate_wire,
-    input_wire,
     matrix_cap,
-    parse_wire,
     simplify,
     truth_table,
     vertex,

@@ -2,20 +2,20 @@
 
 Gates in layer k read only layer k-1 outputs (inputs form layer 0); an optional
 skip connection feeds an affine function of the inputs straight into the output
-gate.  All arithmetic is exact, on `fractions.Fraction` or on integers scaled
-by a common denominator; floats are rejected so results never depend on
-rounding.
+gate.  An affine form's weights are keyed by the 0-based position it reads in
+the layer below: the inputs for the bottom layer and the skip wires, the last
+hidden layer for the output gate.  Wire ids such as ``x3`` and ``g2.1`` exist
+only in JSON documents and reports (`relucirc.serialize`).  All arithmetic is
+exact, on `fractions.Fraction` or on integers scaled by a common denominator;
+floats are rejected so results never depend on rounding.
 """
 from __future__ import annotations
 
 import math
-import os
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -23,10 +23,8 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 24  # max arity for exhaustive truth tables
 DEFAULT_MATRIX_CAP = 12       # max m for 2^m x 2^m communication matrices
 
-_CAP_ENV = "RELUCIRC_CAP_OVERRIDE"
-
-# Structures that depend only on the arity (cubes, wire maps, table-independent
-# gates) are cached and shared up to this arity, or 2^this many wires.
+# Structures that depend only on the arity (cubes, table-independent gates,
+# position sets) are cached and shared up to this arity, or 2^this positions.
 _CACHE_BITS = 12
 
 
@@ -39,7 +37,7 @@ class ArityError(CircuitError):
 
 
 class WireError(CircuitError):
-    """A gate references a wire that its layer is not allowed to read."""
+    """A gate reads a position outside the layer it is allowed to read."""
 
 
 class ResourceCapError(CircuitError):
@@ -54,34 +52,12 @@ class InvariantViolationError(CircuitError):
     """A checked mathematical invariant failed; this falsifies the build."""
 
 
-def _env_caps() -> dict[str, int]:
-    raw = os.environ.get(_CAP_ENV, "").strip()
-    if not raw:
-        return {}
-    caps: dict[str, int] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            key, _, val = part.partition("=")
-            caps[key.strip()] = int(val)
-        else:
-            # bare integer overrides the enumeration cap
-            caps["table"] = int(part)
-    return caps
-
-
 def enumeration_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    return _env_caps().get("table", DEFAULT_ENUMERATION_CAP)
+    return DEFAULT_ENUMERATION_CAP if explicit is None else explicit
 
 
 def matrix_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    return _env_caps().get("matrix", DEFAULT_MATRIX_CAP)
+    return DEFAULT_MATRIX_CAP if explicit is None else explicit
 
 
 Rational = Fraction | int
@@ -96,69 +72,42 @@ def exact(value: Rational | str) -> Fraction:
     return Fraction(value)
 
 
-def input_wire(i: int) -> str:
-    """1-based input coordinate i -> wire id."""
-    return f"x{i}"
-
-
-def gate_wire(layer: int, pos: int) -> str:
-    """1-based layer and position -> wire id of that gate's output."""
-    return f"g{layer}.{pos}"
-
-
-def _wire_index(layer: int, width: int) -> Mapping[str, int]:
-    """Wire id -> 0-based position, for the inputs (layer 0) or a gate layer.
-
-    Read-only, since up to 2^_CACHE_BITS wires the mapping is cached and shared.
-    """
+def _positions(width: int) -> frozenset[int]:
+    """The positions 0..width-1 of a layer, shared up to 2^_CACHE_BITS."""
     if width <= 1 << _CACHE_BITS:
-        return _shared_wire_index(layer, width)
-    return _shared_wire_index.__wrapped__(layer, width)
+        return _shared_positions(width)
+    return frozenset(range(width))
 
 
 @lru_cache(maxsize=256)
-def _shared_wire_index(layer: int, width: int) -> Mapping[str, int]:
-    if layer == 0:
-        return MappingProxyType({input_wire(i + 1): i for i in range(width)})
-    return MappingProxyType({gate_wire(layer, j + 1): j for j in range(width)})
+def _shared_positions(width: int) -> frozenset[int]:
+    return frozenset(range(width))
 
 
-_INPUT_RE = re.compile(r"^x([1-9][0-9]*)$")
-_GATE_RE = re.compile(r"^g([1-9][0-9]*)\.([1-9][0-9]*)$")
-
-
-def parse_wire(wire: str) -> tuple[str, int, int]:
-    """Return ("x", i, 0) for inputs or ("g", layer, pos) for gates (1-based)."""
-    m = _INPUT_RE.match(wire)
-    if m:
-        return ("x", int(m.group(1)), 0)
-    m = _GATE_RE.match(wire)
-    if m:
-        return ("g", int(m.group(1)), int(m.group(2)))
-    raise WireError(f"malformed wire id {wire!r}")
-
-
-def affine(weights: Mapping[str, Rational], bias: Rational = 0) -> "AffineForm":
+def affine(weights: Mapping[int, Rational], bias: Rational = 0) -> "AffineForm":
     """Build an AffineForm, coercing values and dropping zero weights."""
     w = {}
-    for wire, val in weights.items():
+    for pos, val in weights.items():
         q = exact(val)
         if q:
-            w[wire] = q
+            w[pos] = q
     return AffineForm(w, exact(bias))
 
 
 @dataclass(frozen=True)
 class AffineForm:
-    """weights . wires + bias, with exact rational coefficients."""
+    """weights . values + bias, with exact rational coefficients.
 
-    weights: Mapping[str, Fraction]
+    ``weights`` maps 0-based positions of the layer read to nonzero weights.
+    """
+
+    weights: Mapping[int, Fraction]
     bias: Fraction = Fraction(0)
 
-    def value(self, wires: Mapping[str, Fraction]) -> Fraction:
+    def value(self, values: Sequence[Rational]) -> Fraction:
         total = self.bias
-        for wire, w in self.weights.items():
-            total += w * wires[wire]
+        for pos, w in self.weights.items():
+            total += w * values[pos]
         return total
 
     def weight_sum_abs(self) -> Fraction:
@@ -167,21 +116,15 @@ class AffineForm:
     def is_constant(self) -> bool:
         return not self.weights
 
-    def _integer_row(
-        self, index_of: Mapping[str, int], width: int
-    ) -> tuple[list[int], int, int, int]:
+    def _integer_row(self, width: int) -> tuple[list[int], int, int, int]:
         """(row, bias, scale, sum of |row|): the form times ``scale``, the lcm
         of its denominators, as a dense integer row over ``width`` positions.
 
-        The wire ids fix the positions, so the result is cached per width;
-        the row is shared and must not be mutated.
+        Cached per width; the row is shared and must not be mutated.
         """
         cache = self._rows
         if width not in cache:
-            ratios = [
-                (index_of[wire], *w.as_integer_ratio())
-                for wire, w in self.weights.items()
-            ]
+            ratios = [(pos, *w.as_integer_ratio()) for pos, w in self.weights.items()]
             b_num, b_den = self.bias.as_integer_ratio()
             scale = math.lcm(b_den, *(den for _, _, den in ratios))
             row = [0] * width
@@ -238,25 +181,18 @@ class Circuit:
         self._validate()
 
     def _validate(self) -> None:
-        inputs = _wire_index(0, self.input_count).keys()
+        """Every weight key is a position of the layer its form reads."""
+        inputs = _positions(self.input_count)
         prev = inputs
         for k, layer in enumerate(self.layers, start=1):
             if not layer:
                 raise WireError(f"layer {k} is empty")
             for j, gate in enumerate(layer, start=1):
-                if not prev >= gate.form.weights.keys():
-                    bad = set(gate.form.weights) - prev
-                    raise WireError(
-                        f"gate g{k}.{j} reads {sorted(bad)} outside layer {k - 1}"
-                    )
-            prev = _wire_index(k, len(layer)).keys()
-        bad = set(self.output_gate.form.weights) - prev
-        if bad:
-            raise WireError(f"output gate reads {sorted(bad)} outside the last layer")
+                _check_reads(gate.form, prev, f"gate {j} of layer {k}", f"layer {k - 1}")
+            prev = _positions(len(layer))
+        _check_reads(self.output_gate.form, prev, "the output gate", "the last layer")
         if self.skip_wires is not None:
-            bad = set(self.skip_wires.weights) - inputs
-            if bad:
-                raise WireError(f"skip wires read non-inputs {sorted(bad)}")
+            _check_reads(self.skip_wires, inputs, "the skip wires", "the inputs")
 
     @cached_property
     def _lowered(self) -> "_Lowering":
@@ -287,11 +223,13 @@ class Circuit:
             count += 1
         return count
 
-    def gates(self) -> Iterator[tuple[str, Gate]]:
-        for k, layer in enumerate(self.layers, start=1):
-            for j, gate in enumerate(layer, start=1):
-                yield gate_wire(k, j), gate
-        yield "output", self.output_gate
+
+def _check_reads(form: AffineForm, positions: frozenset[int], reader: str, layer: str) -> None:
+    if not positions >= form.weights.keys():
+        bad = sorted(form.weights.keys() - positions, key=repr)
+        raise WireError(
+            f"{reader} reads {bad}, outside the {len(positions)} positions of {layer}"
+        )
 
 
 def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
@@ -423,11 +361,11 @@ _INT64_SAFE = 1 << 62
 
 
 def _lower_forms(
-    forms: Sequence[AffineForm], index_of: Mapping[str, int], width: int
+    forms: Sequence[AffineForm], width: int
 ) -> tuple[list[list[int]], list[int], int, list[int]]:
     """Integer rows and biases over the forms' common scale (the lcm of all
     their denominators), with each row's absolute weight sum."""
-    lowered = [f._integer_row(index_of, width) for f in forms]
+    lowered = [f._integer_row(width) for f in forms]
     scale = math.lcm(*{s for _, _, s, _ in lowered})
     rows, biases, abs_sums = [], [], []
     for row, bias, s, abs_sum in lowered:
@@ -451,13 +389,13 @@ class _Lowering:
 
     def __init__(self, circuit: Circuit):
         n = circuit.input_count
-        prev_index, prev_width = _wire_index(0, n), n
+        prev_width = n
         self.layers = []
         bound = 1
         den = 1
-        for k, layer in enumerate(circuit.layers, start=1):
+        for layer in circuit.layers:
             rows, biases, scale, abs_sums = _lower_forms(
-                [g.form for g in layer], prev_index, prev_width
+                [g.form for g in layer], prev_width
             )
             new_bound = max(
                 (s * bound + abs(b) * den * scale for s, b in zip(abs_sums, biases)),
@@ -467,14 +405,14 @@ class _Lowering:
             # den itself bounds LTF gate numerators (+-den), so keep it in the bound
             bound = max(new_bound, den, 1)
             self.layers.append((rows, biases, scale, tuple(g.kind for g in layer)))
-            prev_index, prev_width = _wire_index(k, len(layer)), len(layer)
+            prev_width = len(layer)
 
         (out_row,), (out_bias,), out_scale, (out_abs,) = _lower_forms(
-            [circuit.output_gate.form], prev_index, prev_width
+            [circuit.output_gate.form], prev_width
         )
         if circuit.skip_wires is not None:
             (skip_row,), (skip_bias,), skip_scale, (skip_abs,) = _lower_forms(
-                [circuit.skip_wires], _wire_index(0, n), n
+                [circuit.skip_wires], n
             )
         else:
             skip_row, skip_bias, skip_scale, skip_abs = [0] * n, 0, 1, 0
@@ -657,37 +595,6 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
 # ---------------------------------------------------------------------------
 # simplification
 
-def _to_positional(circuit: Circuit):
-    """Rewrite wire-id dicts as previous-layer positional dicts for editing."""
-    layers = []
-    for k, layer in enumerate(circuit.layers, start=1):
-        rows = []
-        for gate in layer:
-            w = {}
-            for wire, coeff in gate.form.weights.items():
-                kind, a, b = parse_wire(wire)
-                w[(a - 1) if kind == "x" else (b - 1)] = coeff
-            rows.append({"kind": gate.kind, "w": w, "b": gate.form.bias})
-        layers.append(rows)
-    out_w = {}
-    for wire, coeff in circuit.output_gate.form.weights.items():
-        kind, a, b = parse_wire(wire)
-        out_w[(a - 1) if kind == "x" else (b - 1)] = coeff
-    out = {"kind": circuit.output_gate.kind, "w": out_w, "b": circuit.output_gate.form.bias}
-    skip_w = {}
-    skip_b = Fraction(0)
-    if circuit.skip_wires is not None:
-        for wire, coeff in circuit.skip_wires.weights.items():
-            _, a, _ = parse_wire(wire)
-            skip_w[a - 1] = coeff
-        skip_b = circuit.skip_wires.bias
-    return layers, out, skip_w, skip_b
-
-
-def _const_value(kind: GateKind, b: Fraction) -> Fraction:
-    return apply_kind(kind, b)
-
-
 def _remove_gate(layers, out, k: int, j: int, replacement: Fraction | None) -> None:
     """Drop gate j of hidden layer k (0-based), folding an optional constant."""
     consumers = layers[k + 1] if k + 1 < len(layers) else [out]
@@ -708,7 +615,14 @@ def simplify(circuit: Circuit) -> Circuit:
     all-SUM hidden layers (including SUM gates left in the bottom layer of a
     depth-2 circuit, which route into the skip connection).  Size never grows.
     """
-    layers, out, skip_w, skip_b = _to_positional(circuit)
+    layers = [
+        [{"kind": g.kind, "w": dict(g.form.weights), "b": g.form.bias} for g in layer]
+        for layer in circuit.layers
+    ]
+    out_form = circuit.output_gate.form
+    out = {"kind": circuit.output_gate.kind, "w": dict(out_form.weights), "b": out_form.bias}
+    skip = circuit.skip_wires or AffineForm({})
+    skip_w, skip_b = dict(skip.weights), skip.bias
 
     changed = True
     while changed:
@@ -723,7 +637,7 @@ def simplify(circuit: Circuit) -> Circuit:
             for j in range(len(layers[k]) - 1, -1, -1):
                 gate = layers[k][j]
                 if not gate["w"]:
-                    _remove_gate(layers, out, k, j, _const_value(gate["kind"], gate["b"]))
+                    _remove_gate(layers, out, k, j, apply_kind(gate["kind"], gate["b"]))
                     changed = True
         # dead gates: no consumer references them
         for k in range(len(layers)):
@@ -768,32 +682,13 @@ def simplify(circuit: Circuit) -> Circuit:
                 changed = True
         layers = [layer for layer in layers if layer]
 
-    # rebuild with fresh wire ids
-    new_layers = []
-    for k, layer in enumerate(layers, start=1):
-        prefix = "x" if k == 1 else f"g{k - 1}."
-        gates = []
-        for gate in layer:
-            w = {
-                (input_wire(p + 1) if k == 1 else gate_wire(k - 1, p + 1)): c
-                for p, c in gate["w"].items()
-            }
-            gates.append(Gate(gate["kind"], AffineForm(w, gate["b"])))
-        new_layers.append(tuple(gates))
-    k = len(new_layers)
-    out_w = {
-        (input_wire(p + 1) if k == 0 else gate_wire(k, p + 1)): c
-        for p, c in out["w"].items()
-    }
-    skip = None
     skip_w = {p: c for p, c in skip_w.items() if c != 0}
-    if skip_w or skip_b:
-        skip = AffineForm(
-            {input_wire(p + 1): c for p, c in skip_w.items()}, skip_b
-        )
     return Circuit(
         input_count=circuit.input_count,
-        layers=tuple(new_layers),
-        output_gate=Gate(out["kind"], AffineForm(out_w, out["b"])),
-        skip_wires=skip,
+        layers=tuple(
+            tuple(Gate(g["kind"], AffineForm(g["w"], g["b"])) for g in layer)
+            for layer in layers
+        ),
+        output_gate=Gate(out["kind"], AffineForm(out["w"], out["b"])),
+        skip_wires=AffineForm(skip_w, skip_b) if skip_w or skip_b else None,
     )

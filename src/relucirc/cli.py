@@ -20,7 +20,6 @@ from .circuit import (
     InvariantViolationError,
     ResourceCapError,
     affine,
-    input_wire,
     truth_table,
 )
 from .constructions import (
@@ -74,11 +73,14 @@ _REFERENCE_SEED_OFFSET = 0x9E3779B9
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part != ""]
+    return [_fraction(part) for part in text.split(",") if part != ""]
 
 
 def _int_list(text: str) -> list[int]:
@@ -159,13 +161,13 @@ def cmd_construct(args) -> int:
         circuit = build(table, cap=_cap(args, args.n))
     elif kind == "ltf2relu":
         _require(args.weights is not None, "construct ltf2relu needs --weights")
-        weights = {input_wire(i + 1): w for i, w in enumerate(args.weights)}
-        gate = Gate(GateKind.LTF, affine(weights, args.bias))
+        gate = Gate(GateKind.LTF, affine(dict(enumerate(args.weights)), args.bias))
         circuit = ltf_to_relu(gate, len(args.weights), cap=_cap(args, len(args.weights)))
     else:  # linear
         _require(args.weights is not None, "construct linear needs --weights")
-        weights = {input_wire(i + 1): w for i, w in enumerate(args.weights)}
-        circuit = linear_as_2relu(affine(weights, args.bias), len(args.weights))
+        circuit = linear_as_2relu(
+            affine(dict(enumerate(args.weights)), args.bias), len(args.weights)
+        )
     print(
         f"kind={kind} reluGates={circuit.relu_count} depth={circuit.depth} size={circuit.size}",
         file=sys.stderr,
@@ -454,7 +456,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CircuitError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

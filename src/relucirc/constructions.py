@@ -8,7 +8,6 @@ for max{0, x1, x2}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,11 +27,8 @@ from .circuit import (
     _CACHE_BITS,
     _cube_slab,
     _slab_indices,
-    _wire_index,
     affine,
     enumeration_cap,
-    gate_wire,
-    input_wire,
 )
 
 HALF = Fraction(1, 2)
@@ -131,15 +127,12 @@ def _parity_ladder_coeffs(k: int) -> tuple[int, ...]:
 def parity_sum_of_relu(k: int) -> Circuit:
     """Sum of k+1 ReLUs computing (x1 + ... + xk) mod 2 on {0,1}^k inputs."""
     coeffs = _parity_ladder_coeffs(k)
-    ones = {input_wire(i + 1): Fraction(1) for i in range(k)}
+    ones = {i: Fraction(1) for i in range(k)}
     gates = tuple(
         Gate(GateKind.RELU, AffineForm(dict(ones), Fraction(-h)))
         for h in range(k + 1)
     )
-    out = AffineForm(
-        {gate_wire(1, h + 1): Fraction(c) for h, c in enumerate(coeffs) if c},
-        Fraction(0),
-    )
+    out = AffineForm({h: Fraction(c) for h, c in enumerate(coeffs) if c}, Fraction(0))
     return Circuit(k, (gates,), Gate(GateKind.SUM, out))
 
 
@@ -147,23 +140,14 @@ def linear_as_2relu(form: AffineForm, input_count: int) -> Circuit:
     """t = ReLU(t) - ReLU(-t): an affine form as a two-ReLU sum, exact on R^n."""
     neg = AffineForm({w: -c for w, c in form.weights.items()}, -form.bias)
     gates = (Gate(GateKind.RELU, form), Gate(GateKind.RELU, neg))
-    out = AffineForm(
-        {gate_wire(1, 1): Fraction(1), gate_wire(1, 2): Fraction(-1)}, Fraction(0)
-    )
+    out = AffineForm({0: Fraction(1), 1: Fraction(-1)}, Fraction(0))
     return Circuit(input_count, (gates,), Gate(GateKind.SUM, out))
 
 
 def _closest_negative_on_cube(form: AffineForm, n: int) -> tuple[int | None, int]:
     """(max strictly-negative scaled value, scale) of an input form on the cube."""
-    dens = [form.bias.denominator] + [w.denominator for w in form.weights.values()]
-    scale = math.lcm(*dens)
-    row_ints = [0] * n
-    for wire, w in form.weights.items():
-        if not wire.startswith("x"):
-            raise ContractError("threshold gate must read inputs directly")
-        row_ints[int(wire[1:]) - 1] = int(w * scale)
-    bias_int = int(form.bias * scale)
-    big = sum(abs(w) for w in row_ints) + abs(bias_int) >= (1 << 62)
+    row_ints, bias_int, scale, abs_sum = form._integer_row(n)
+    big = abs_sum + abs(bias_int) >= (1 << 62)
     dtype = object if big else np.int64
     row = np.array(row_ints, dtype=dtype)
     best: int | None = None
@@ -188,6 +172,7 @@ def ltf_to_relu(gate: Gate, input_count: int, cap: int | None = None) -> Circuit
     n = input_count
     if n > enumeration_cap(cap):
         raise ResourceCapError(f"arity {n} exceeds enumeration cap")
+    Circuit(n, (), gate)  # the gate must read positions of the n inputs
     closest, scale = _closest_negative_on_cube(gate.form, n)
     if closest is None:
         return Circuit(
@@ -197,9 +182,7 @@ def ltf_to_relu(gate: Gate, input_count: int, cap: int | None = None) -> Circuit
     form = gate.form
     shifted = AffineForm(dict(form.weights), form.bias + p)
     gates = (Gate(GateKind.RELU, shifted), Gate(GateKind.RELU, form))
-    out = AffineForm(
-        {gate_wire(1, 1): 2 / p, gate_wire(1, 2): -2 / p}, Fraction(-1)
-    )
+    out = AffineForm({0: 2 / p, 1: -2 / p}, Fraction(-1))
     return Circuit(n, (gates,), Gate(GateKind.SUM, out))
 
 
@@ -210,7 +193,7 @@ def _vertex_layer(n: int) -> tuple[Gate, ...]:
         Gate(
             GateKind.RELU,
             AffineForm(
-                {input_wire(i + 1): Fraction(1 - 2 * ((idx >> i) & 1)) for i in range(n)},
+                {i: Fraction(1 - 2 * ((idx >> i) & 1)) for i in range(n)},
                 Fraction(1 - n),
             ),
         )
@@ -233,8 +216,7 @@ def universal_vertex_indicators(table: TruthTable, cap: int | None = None) -> Ci
     gates = _vertex_layer(n) if n <= _CACHE_BITS else _vertex_layer.__wrapped__(n)
     bits = table.bits
     out_weights = {
-        wire: MINUS_ONE if (bits >> idx) & 1 else ONE
-        for wire, idx in _wire_index(1, len(gates)).items()
+        idx: MINUS_ONE if (bits >> idx) & 1 else ONE for idx in range(len(gates))
     }
     return Circuit(
         n, (gates,), Gate(GateKind.SUM, AffineForm(out_weights, Fraction(0)))
@@ -251,7 +233,7 @@ def _fourier_block(s: int) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
     """
     members = [i for i in range(s.bit_length()) if (s >> i) & 1]
     k = len(members)
-    base = {input_wire(i + 1): -HALF for i in members}
+    base = {i: -HALF for i in members}
     gates = tuple(
         Gate(GateKind.RELU, AffineForm(base, Fraction(k - 2 * h, 2)))
         for h in range(k + 1)
@@ -283,9 +265,7 @@ def universal_fourier(table: TruthTable, cap: int | None = None) -> Circuit:
             weights.extend(_dyadic(-2 * v * c, n) for c in ladder)
     out = Gate(
         GateKind.SUM,
-        AffineForm(
-            dict(zip(_wire_index(1, len(gates)), weights)), _dyadic(sum(spectrum), n)
-        ),
+        AffineForm(dict(enumerate(weights)), _dyadic(sum(spectrum), n)),
     )
     if not gates:
         return Circuit(n, (), out)
@@ -301,19 +281,15 @@ def max0xy_depth2() -> Circuit:
     a single layer of ReLUs cannot express this function.
     """
     layer1 = (
-        Gate(GateKind.RELU, affine({input_wire(1): 1})),          # ReLU(x1)
-        Gate(GateKind.RELU, affine({input_wire(1): -1})),         # ReLU(-x1)
-        Gate(GateKind.RELU, affine({input_wire(2): 1})),          # m = ReLU(x2)
+        Gate(GateKind.RELU, affine({0: 1})),                # ReLU(x1)
+        Gate(GateKind.RELU, affine({0: -1})),               # ReLU(-x1)
+        Gate(GateKind.RELU, affine({1: 1})),                # m = ReLU(x2)
     )
-    g11, g12, g13 = (gate_wire(1, j) for j in (1, 2, 3))
     layer2 = (
-        Gate(GateKind.RELU, affine({g11: 1, g12: -1, g13: -1})),  # ReLU(x1 - m)
-        Gate(GateKind.RELU, affine({g11: -1, g12: 1, g13: 1})),   # ReLU(m - x1)
-        Gate(GateKind.RELU, affine({g13: 1})),                    # m, since m >= 0
+        Gate(GateKind.RELU, affine({0: 1, 1: -1, 2: -1})),  # ReLU(x1 - m)
+        Gate(GateKind.RELU, affine({0: -1, 1: 1, 2: 1})),   # ReLU(m - x1)
+        Gate(GateKind.RELU, affine({2: 1})),                # m, since m >= 0
     )
-    out = AffineForm(
-        {gate_wire(2, 1): HALF, gate_wire(2, 2): HALF, gate_wire(2, 3): HALF},
-        Fraction(0),
-    )
-    skip = AffineForm({input_wire(1): HALF}, Fraction(0))
+    out = AffineForm({0: HALF, 1: HALF, 2: HALF}, Fraction(0))
+    skip = AffineForm({0: HALF}, Fraction(0))
     return Circuit(2, (layer1, layer2), Gate(GateKind.SUM, out), skip)

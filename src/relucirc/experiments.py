@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .circuit import (
+    ArityError,
     InvariantViolationError,
     Rational,
     ResourceCapError,
@@ -20,6 +21,8 @@ AGREEMENT_ARITY_CAP = 16
 
 def parity_table(n: int) -> TruthTable:
     """Parity of all n bits in the +-1 convention (odd count of -1 bits -> -1)."""
+    if n < 0:
+        raise ArityError("negative arity")
     bits = 0
     for idx in range(1 << n):
         if idx.bit_count() & 1:

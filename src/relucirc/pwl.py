@@ -31,8 +31,6 @@ from .circuit import (
     Rational,
     _forward,
     exact,
-    gate_wire,
-    parse_wire,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -410,16 +408,12 @@ def pwl_from_depth2(circuit: Circuit) -> PwlSum:
         raise ContractError("expected a SUM output gate")
 
     def input_pair(form) -> tuple[Fraction, Fraction]:
-        w = [Fraction(0), Fraction(0)]
-        for wire, c in form.weights.items():
-            _, i, _ = parse_wire(wire)
-            w[i - 1] = c
-        return (w[0], w[1])
+        return (form.weights.get(0, Fraction(0)), form.weights.get(1, Fraction(0)))
 
     terms: list[PwlTerm] = []
     out_form = circuit.output_gate.form
-    for j, gate in enumerate(circuit.layers[0], start=1):
-        alpha = out_form.weights.get(gate_wire(1, j), Fraction(0))
+    for j, gate in enumerate(circuit.layers[0]):
+        alpha = out_form.weights.get(j, Fraction(0))
         if alpha:
             terms.append(PwlTerm(alpha, input_pair(gate.form), gate.form.bias))
     affine_w = (Fraction(0), Fraction(0))

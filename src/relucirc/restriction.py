@@ -23,11 +23,9 @@ from .circuit import (
     Gate,
     GateKind,
     affine,
-    gate_wire,
-    input_wire,
-    parse_wire,
 )
 from .hardfuncs import AndreevInput, andreev, andreev_layout, andreev_input_size
+from .serialize import gate_wire
 
 
 @dataclass(frozen=True)
@@ -63,18 +61,20 @@ class Removability(Enum):
 
 
 def fold(form: AffineForm, rho: Restriction) -> AffineForm:
-    """Substitute the fixed coordinates into an input-level affine form."""
+    """Substitute the fixed coordinates into a form over the inputs.
+
+    The free weights keep their positions; `apply_restriction` renumbers them.
+    """
     weights = {}
     bias = form.bias
-    for wire, w in form.weights.items():
-        kind, i, _ = parse_wire(wire)
-        if kind != "x":
-            raise ContractError("fold expects a form over input wires")
-        if i > rho.arity:
-            raise ArityError(f"form reads x{i} beyond restriction arity {rho.arity}")
-        val = rho.fixed.get(i)
+    for pos, w in form.weights.items():
+        if not 0 <= pos < rho.arity:
+            raise ArityError(
+                f"form reads input {pos + 1} beyond restriction arity {rho.arity}"
+            )
+        val = rho.fixed.get(pos + 1)
         if val is None:
-            weights[wire] = w
+            weights[pos] = w
         else:
             bias += w * val
     return AffineForm(weights, bias)
@@ -95,7 +95,7 @@ def removability(form: AffineForm, rho: Restriction) -> Removability:
 
 @dataclass(frozen=True)
 class CollapseReport:
-    """Where each bottom-layer gate went under a restriction."""
+    """Where each bottom-layer gate went under a restriction, by wire id."""
 
     removed_as_zero: tuple[str, ...]
     linearized: tuple[str, ...]
@@ -104,11 +104,7 @@ class CollapseReport:
 
 
 def _renamed(form: AffineForm, new_index: Mapping[int, int]) -> AffineForm:
-    w = {}
-    for wire, c in form.weights.items():
-        _, i, _ = parse_wire(wire)
-        w[input_wire(new_index[i])] = c
-    return AffineForm(w, form.bias)
+    return AffineForm({new_index[p]: c for p, c in form.weights.items()}, form.bias)
 
 
 def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
@@ -118,7 +114,8 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     a depth-2 circuit their scaled forms reroute into the skip connection, in
     deeper circuits they become SUM gates in place); survivors keep their
     folded forms.  The result computes the original function's slice on the
-    whole convex hull of the free cube, with inputs renumbered to x1..x_free.
+    whole convex hull of the free cube, with the free inputs renumbered in
+    order.  Layers above the bottom keep their positions.
     """
     if rho.arity != circuit.input_count:
         raise ArityError("restriction arity differs from circuit arity")
@@ -131,7 +128,7 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
         raise ContractError("output gate must be LTF or SUM")
 
     free = rho.free()
-    new_index = {orig: pos + 1 for pos, orig in enumerate(free)}
+    new_index = {orig - 1: pos for pos, orig in enumerate(free)}
 
     folded = [fold(g.form, rho) for g in bottom]
     classes = [classify_folded(f) for f in folded]
@@ -140,7 +137,7 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     linear = tuple(i for i, c in zip(ids, classes) if c is Removability.LINEARIZED)
     alive = tuple(i for i, c in zip(ids, classes) if c is Removability.SURVIVES)
 
-    skip_w: dict[str, Fraction] = {}
+    skip_w: dict[int, Fraction] = {}
     skip_b = Fraction(0)
     if circuit.skip_wires is not None:
         folded_skip = _renamed(fold(circuit.skip_wires, rho), new_index)
@@ -150,18 +147,18 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     if len(circuit.layers) == 1:
         out_form = circuit.output_gate.form
         new_gates = []
-        new_out_w: dict[str, Fraction] = {}
+        new_out_w: dict[int, Fraction] = {}
         out_b = out_form.bias
         for j, (form, cls) in enumerate(zip(folded, classes)):
-            alpha = out_form.weights.get(ids[j], Fraction(0))
+            alpha = out_form.weights.get(j, Fraction(0))
             if cls is Removability.SURVIVES:
-                new_gates.append(Gate(GateKind.RELU, _renamed(form, new_index)))
                 if alpha:
-                    new_out_w[gate_wire(1, len(new_gates))] = alpha
+                    new_out_w[len(new_gates)] = alpha
+                new_gates.append(Gate(GateKind.RELU, _renamed(form, new_index)))
             elif cls is Removability.LINEARIZED and alpha:
                 renamed = _renamed(form, new_index)
-                for wire, c in renamed.weights.items():
-                    skip_w[wire] = skip_w.get(wire, Fraction(0)) + alpha * c
+                for p, c in renamed.weights.items():
+                    skip_w[p] = skip_w.get(p, Fraction(0)) + alpha * c
                 skip_b += alpha * renamed.bias
         skip = AffineForm(
             {w: c for w, c in skip_w.items() if c}, skip_b
@@ -176,47 +173,30 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
         )
         return CollapseReport(removed, linear, alive, restricted)
 
-    # deeper circuits: rewrite the bottom layer in place, renumber its wires
+    # deeper circuits: rewrite the bottom layer in place, renumber its gates
     new_bottom = []
-    pos_of: dict[str, str] = {}
+    pos_of: dict[int, int] = {}
     for j, (form, cls) in enumerate(zip(folded, classes)):
         if cls is Removability.CONSTANT_ZERO:
             continue
         kind = GateKind.RELU if cls is Removability.SURVIVES else GateKind.SUM
+        pos_of[j] = len(new_bottom)
         new_bottom.append(Gate(kind, _renamed(form, new_index)))
-        pos_of[ids[j]] = gate_wire(1, len(new_bottom))
-    second = []
-    for g in circuit.layers[1]:
-        w = {}
-        for wire, c in g.form.weights.items():
-            target = pos_of.get(wire)
-            if target is not None:
-                w[target] = c
-        second.append(Gate(g.kind, AffineForm(w, g.form.bias)))
-    out_gate = circuit.output_gate
-    if not new_bottom:
-        # whole bottom layer vanished: the second layer reads nothing and
-        # becomes the new bottom, so every later wire drops a layer
-        def shift(form: AffineForm) -> AffineForm:
-            w = {}
-            for wire, c in form.weights.items():
-                kind, layer, pos = parse_wire(wire)
-                w[gate_wire(layer - 1, pos) if kind == "g" else wire] = c
-            return AffineForm(w, form.bias)
-
-        rest = tuple(
-            tuple(Gate(g.kind, shift(g.form)) for g in layer)
-            for layer in circuit.layers[2:]
-        )
-        new_layers = (tuple(second),) + rest
-        out_gate = Gate(out_gate.kind, shift(out_gate.form))
-    else:
-        new_layers = (tuple(new_bottom), tuple(second)) + circuit.layers[2:]
+    second = tuple(
+        Gate(g.kind, AffineForm(
+            {pos_of[p]: c for p, c in g.form.weights.items() if p in pos_of},
+            g.form.bias,
+        ))
+        for g in circuit.layers[1]
+    )
+    # a vanished bottom layer leaves the second layer reading nothing, as the
+    # new bottom layer
+    new_layers = ((tuple(new_bottom),) if new_bottom else ()) + (second,) + circuit.layers[2:]
     skip = AffineForm({w: c for w, c in skip_w.items() if c}, skip_b)
     restricted = Circuit(
         input_count=len(free),
         layers=new_layers,
-        output_gate=out_gate,
+        output_gate=circuit.output_gate,
         skip_wires=None if not skip.weights and skip.bias == 0 else skip,
     )
     return CollapseReport(removed, linear, alive, restricted)
@@ -323,19 +303,15 @@ def random_ltf_of_relu(
     n: int, gate_count: int, bound: int, rng: random.Random
 ) -> Circuit:
     """One hidden ReLU layer with uniform integer weights under an LTF output."""
+    if bound < 0:
+        raise ContractError("weight bound must be >= 0")
     gates = []
     for _ in range(gate_count):
-        w = {
-            input_wire(i + 1): Fraction(rng.randint(-bound, bound))
-            for i in range(n)
-        }
+        w = {i: Fraction(rng.randint(-bound, bound)) for i in range(n)}
         gates.append(
             Gate(GateKind.RELU, affine(w, rng.randint(-bound, bound)))
         )
-    out_w = {
-        gate_wire(1, j + 1): Fraction(rng.randint(-bound, bound))
-        for j in range(gate_count)
-    }
+    out_w = {j: Fraction(rng.randint(-bound, bound)) for j in range(gate_count)}
     out = Gate(GateKind.LTF, affine(out_w, rng.randint(-bound, bound)))
     return Circuit(n, (tuple(gates),), out)
 
@@ -379,6 +355,10 @@ def survival_experiment(
     """
     if trials < 2:
         raise ArityError("need at least 2 trials for a confidence interval")
+    if gate_count < 1 or seed < 0:
+        raise ContractError("need at least one gate and a nonnegative seed")
+    for n in n_list:
+        andreev_layout(n)  # rejects n < 4 before any sampling
     rows_out = []
     bound = dist.bound
     for n in n_list:

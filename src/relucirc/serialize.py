@@ -9,6 +9,12 @@ input).  The circuit document shape is::
      "outputGate": {...},
      "skipWires": {...} | null}
 
+Weights are keyed by wire ids: ``x<i>`` for input i and ``g<k>.<j>`` for gate
+j of hidden layer k, both 1-based.  This module is the only place that knows
+the format: in memory a form's weights are keyed by the 0-based position it
+reads in the layer below, so `circuit_from_json` maps each id through the ids
+of that layer and rejects ids of any other layer.
+
 and a ReLU sum is ``{"terms": [{"coeff": ..., "normal": [..., ...], "bias": ...}]}``.
 """
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .circuit import (
     Gate,
     GateKind,
     TruthTable,
-    WireError,
 )
 from .pwl import PwlSum, PwlTerm, RefutationReport
 
@@ -48,73 +53,110 @@ def rational_from_str(text: str) -> Fraction:
     return q
 
 
-def _form_to_json(form: AffineForm) -> dict[str, Any]:
+def input_wire(i: int) -> str:
+    """1-based input coordinate i -> wire id."""
+    return f"x{i}"
+
+
+def gate_wire(layer: int, pos: int) -> str:
+    """1-based layer and position -> wire id of that gate's output."""
+    return f"g{layer}.{pos}"
+
+
+def _wire_ids(layer: int, width: int) -> list[str]:
+    """The wire ids of a layer's positions: the inputs (layer 0) or its gates."""
+    if layer == 0:
+        return [input_wire(i + 1) for i in range(width)]
+    return [gate_wire(layer, j + 1) for j in range(width)]
+
+
+def _form_to_json(form: AffineForm, ids: list[str]) -> dict[str, Any]:
     return {
-        "weights": {wire: rational_to_str(w) for wire, w in sorted(form.weights.items())},
+        "weights": dict(sorted((ids[p], rational_to_str(w)) for p, w in form.weights.items())),
         "bias": rational_to_str(form.bias),
     }
 
 
-def _form_from_json(doc: Any) -> AffineForm:
+def _form_from_json(doc: Any, index: dict[str, int], reader: str) -> AffineForm:
+    """The form in ``doc``, whose weight keys must be wire ids in ``index``."""
     if not isinstance(doc, dict) or "weights" not in doc or "bias" not in doc:
-        raise FormatError("affine form needs 'weights' and 'bias'")
-    weights = {
-        str(wire): rational_from_str(w) for wire, w in dict(doc["weights"]).items()
-    }
-    return AffineForm(
-        {w: q for w, q in weights.items() if q != 0},
-        rational_from_str(doc["bias"]),
-    )
+        raise FormatError(f"{reader} needs 'weights' and 'bias'")
+    if not isinstance(doc["weights"], dict):
+        raise FormatError(f"{reader}: 'weights' must be an object")
+    weights = {}
+    for wire, text in doc["weights"].items():
+        if wire not in index:
+            raise FormatError(f"{reader}: {wire!r} is not a wire of the layer it reads")
+        q = rational_from_str(text)
+        if q:
+            weights[index[wire]] = q
+    return AffineForm(weights, rational_from_str(doc["bias"]))
 
 
-def _gate_to_json(gate: Gate) -> dict[str, Any]:
+def _gate_to_json(gate: Gate, ids: list[str]) -> dict[str, Any]:
     doc = {"kind": gate.kind.value}
-    doc.update(_form_to_json(gate.form))
+    doc.update(_form_to_json(gate.form, ids))
     return doc
 
 
-def _gate_from_json(doc: Any) -> Gate:
+def _gate_from_json(doc: Any, index: dict[str, int], reader: str) -> Gate:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise FormatError("gate needs a 'kind'")
+        raise FormatError(f"{reader} needs a 'kind'")
     try:
         kind = GateKind(doc["kind"])
     except ValueError:
         raise FormatError(f"unknown gate kind {doc['kind']!r}") from None
-    return Gate(kind, _form_from_json(doc))
+    return Gate(kind, _form_from_json(doc, index, reader))
 
 
 def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
+    inputs = _wire_ids(0, circuit.input_count)
+    ids = inputs
+    layers = []
+    for k, layer in enumerate(circuit.layers, start=1):
+        layers.append([_gate_to_json(g, ids) for g in layer])
+        ids = _wire_ids(k, len(layer))
     return {
         "inputCount": circuit.input_count,
-        "layers": [[_gate_to_json(g) for g in layer] for layer in circuit.layers],
-        "outputGate": _gate_to_json(circuit.output_gate),
+        "layers": layers,
+        "outputGate": _gate_to_json(circuit.output_gate, ids),
         "skipWires": None
         if circuit.skip_wires is None
-        else _form_to_json(circuit.skip_wires),
+        else _form_to_json(circuit.skip_wires, inputs),
     }
 
 
 def circuit_from_json(doc: Any) -> Circuit:
+    """The circuit in ``doc``.  Each form's weight keys must be the wire ids
+    of the layer it reads; they become positions in that layer."""
     if not isinstance(doc, dict):
         raise FormatError("circuit document must be an object")
     missing = {"inputCount", "layers", "outputGate"} - set(doc)
     if missing:
         raise FormatError(f"circuit document missing {sorted(missing)}")
-    if not isinstance(doc["inputCount"], int):
-        raise FormatError("inputCount must be an integer")
-    layers = tuple(
-        tuple(_gate_from_json(g) for g in layer) for layer in doc["layers"]
-    )
+    n = doc["inputCount"]
+    if not isinstance(n, int) or n < 0:
+        raise FormatError("inputCount must be a nonnegative integer")
+    if not isinstance(doc["layers"], list):
+        raise FormatError("layers must be a list")
+    inputs = {wire: i for i, wire in enumerate(_wire_ids(0, n))}
+    index = inputs
+    layers = []
+    for k, layer in enumerate(doc["layers"], start=1):
+        if not isinstance(layer, list) or not layer:
+            raise FormatError(f"layer {k} must be a nonempty list of gates")
+        layers.append(tuple(
+            _gate_from_json(g, index, gate_wire(k, j))
+            for j, g in enumerate(layer, start=1)
+        ))
+        index = {wire: j for j, wire in enumerate(_wire_ids(k, len(layer)))}
     skip = doc.get("skipWires")
-    try:
-        return Circuit(
-            input_count=doc["inputCount"],
-            layers=layers,
-            output_gate=_gate_from_json(doc["outputGate"]),
-            skip_wires=None if skip is None else _form_from_json(skip),
-        )
-    except WireError as e:
-        raise FormatError(f"inconsistent circuit document: {e}") from None
+    return Circuit(
+        input_count=n,
+        layers=tuple(layers),
+        output_gate=_gate_from_json(doc["outputGate"], index, "the output gate"),
+        skip_wires=None if skip is None else _form_from_json(skip, inputs, "the skip wires"),
+    )
 
 
 def dump_circuit(circuit: Circuit, path: str) -> None:

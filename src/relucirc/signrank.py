@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,14 +26,11 @@ from .circuit import (
     GateKind,
     InvariantViolationError,
     ResourceCapError,
-    affine,
     forward_on_cube,
-    gate_wire,
-    input_wire,
     matrix_cap,
-    parse_wire,
     vertex,
 )
+from .serialize import gate_wire
 
 
 @dataclass(frozen=True)
@@ -149,6 +146,8 @@ def inner_product_sign(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def inner_product_matrix(m: int, cap: int | None = None) -> SignMatrix:
+    if m < 0:
+        raise ArityError("negative arity")
     if m > matrix_cap(cap):
         raise ResourceCapError(f"m = {m} exceeds matrix cap")
     rows = []
@@ -209,12 +208,11 @@ def top_decomposition(
     row_order = row_order or VertexOrdering.identity(m)
     col_order = col_order or VertexOrdering.identity(m)
     fwd = forward_on_cube(circuit, cap=2 * m, keep_last_hidden=True)
-    top = len(circuit.layers)
     out_form = circuit.output_gate.form
     alphas = []
     mats = []
     for j in range(len(circuit.layers[-1])):
-        alphas.append(out_form.weights.get(gate_wire(top, j + 1), Fraction(0)))
+        alphas.append(out_form.weights.get(j, Fraction(0)))
         mats.append(
             _reorder(
                 fwd.last_hidden_num[j], fwd.last_hidden_den, m, row_order, col_order
@@ -250,6 +248,8 @@ def superincreasing_vectors(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
     with x_i = +1 gains 2 a_i >= 2(a_1 + ... + a_{i-1}), outweighing every
     lower coordinate.  Hence these vectors all lie in the standard cone.
     """
+    if m < 0:
+        raise ArityError("negative arity")
     out: list[tuple[int, ...]] = []
 
     def grow(prefix: list[int], total: int) -> None:
@@ -281,31 +281,26 @@ def random_cone_circuit(
     if not widths:
         raise ArityError("need at least one hidden layer")
     pool = superincreasing_vectors(m, bound)
+    if not pool:
+        raise ContractError(f"no cone weight vectors within bound {bound}")
     layers = []
     bottom = []
     for _ in range(widths[0]):
         ax = rng.choice(pool)
         ay = rng.choice(pool)
-        w = {}
-        for i, c in enumerate(ax):
-            if c:
-                w[input_wire(i + 1)] = Fraction(c)
-        for i, c in enumerate(ay):
-            if c:
-                w[input_wire(m + i + 1)] = Fraction(c)
+        w = {i: Fraction(c) for i, c in enumerate(ax + ay) if c}
         bottom.append(
             Gate(GateKind.RELU, AffineForm(w, Fraction(rng.randint(-bound, bound))))
         )
     layers.append(tuple(bottom))
-    for k, width in enumerate(widths[1:], start=2):
-        prev_width = widths[k - 2]
+    for prev_width, width in zip(widths, widths[1:]):
         layer = []
         for _ in range(width):
             w = {}
             for p in range(prev_width):
                 num = rng.randint(-upper_span, upper_span)
                 if num:
-                    w[gate_wire(k - 1, p + 1)] = Fraction(num, rng.choice((1, 1, 2, 3)))
+                    w[p] = Fraction(num, rng.choice((1, 1, 2, 3)))
             layer.append(
                 Gate(GateKind.RELU, AffineForm(w, Fraction(rng.randint(-upper_span, upper_span))))
             )
@@ -314,7 +309,7 @@ def random_cone_circuit(
     for p in range(widths[-1]):
         num = rng.randint(-upper_span, upper_span)
         if num:
-            out_w[gate_wire(len(widths), p + 1)] = Fraction(num, rng.choice((1, 1, 2, 3)))
+            out_w[p] = Fraction(num, rng.choice((1, 1, 2, 3)))
     out = Gate(
         GateKind.LTF, AffineForm(out_w, Fraction(rng.randint(-upper_span, upper_span)))
     )
@@ -522,22 +517,17 @@ def _verified_block_bound(
     if circuit.output_gate.kind is not GateKind.LTF:
         raise ContractError("output gate must be an LTF")
     for j, gate in enumerate(circuit.layers[0], start=1):
-        ax = [Fraction(0)] * m
-        ay = [Fraction(0)] * m
-        for wire, w in gate.form.weights.items():
-            _, i, _ = parse_wire(wire)
+        a = [Fraction(0)] * (2 * m)
+        for i, w in gate.form.weights.items():
             if w.denominator != 1 or abs(w) > bound:
                 raise ContractError(
-                    f"gate g1.{j} weight {w} is not an integer within {bound}"
+                    f"gate {gate_wire(1, j)} weight {w} is not an integer within {bound}"
                 )
-            if i <= m:
-                ax[i - 1] = w
-            else:
-                ay[i - m - 1] = w
-        if not cone_membership(ax, sigma_row):
-            raise ContractError(f"gate g1.{j}: x-half weights leave the row cone")
-        if not cone_membership(ay, sigma_col):
-            raise ContractError(f"gate g1.{j}: y-half weights leave the column cone")
+            a[i] = w
+        if not cone_membership(a[:m], sigma_row):
+            raise ContractError(f"gate {gate_wire(1, j)}: x-half weights leave the row cone")
+        if not cone_membership(a[m:], sigma_col):
+            raise ContractError(f"gate {gate_wire(1, j)}: y-half weights leave the column cone")
 
     matrix = pre_sign_matrix(circuit, m, sigma_row, sigma_col, cap=cap)
     partition = block_partition(matrix)

@@ -16,36 +16,35 @@ from relucirc import (
     GateKind,
     TruthTable,
     affine,
-    gate_wire,
-    input_wire,
     vertex,
 )
 
 
-def affine_value(form, wires):
-    """weights . wires + bias, summed here rather than by the library."""
+def affine_value(form, values):
+    """weights . values + bias, summed here rather than by the library."""
     total = Fraction(form.bias)
-    for wire, w in form.weights.items():
-        total += w * wires[wire]
+    for pos, w in form.weights.items():
+        total += w * values[pos]
     return total
 
 
 def scalar_forward(circuit, point):
-    """Pre-activation of the output gate, computed wire by wire."""
-    wires = {input_wire(i + 1): Fraction(x) for i, x in enumerate(point)}
-    for k, layer in enumerate(circuit.layers, start=1):
-        level = {}
-        for j, g in enumerate(layer, start=1):
-            t = affine_value(g.form, wires)
+    """Pre-activation of the output gate, computed gate by gate."""
+    inputs = [Fraction(x) for x in point]
+    values = inputs
+    for layer in circuit.layers:
+        level = []
+        for g in layer:
+            t = affine_value(g.form, values)
             if g.kind is GateKind.RELU:
                 t = max(t, Fraction(0))
             elif g.kind is GateKind.LTF:
                 t = Fraction(1) if t >= 0 else Fraction(-1)
-            level[gate_wire(k, j)] = t
-        wires.update(level)
-    t = affine_value(circuit.output_gate.form, wires)
+            level.append(t)
+        values = level
+    t = affine_value(circuit.output_gate.form, values)
     if circuit.skip_wires is not None:
-        t += affine_value(circuit.skip_wires, wires)
+        t += affine_value(circuit.skip_wires, inputs)
     return t
 
 
@@ -130,20 +129,16 @@ def random_circuit(rng, n, depth, max_width, *, span=9, rational=True,
             w = {}
             for i in range(prev_width):
                 if rng.random() < 0.8:
-                    wire = input_wire(i + 1) if k == 1 else gate_wire(k - 1, i + 1)
-                    w[wire] = coeff()
+                    w[i] = coeff()
             relu = (k == 1 and bottom_relu_only) or rng.random() < 0.85
             gates.append(Gate(GateKind.RELU if relu else GateKind.LTF,
                               affine(w, coeff())))
         layers.append(tuple(gates))
         prev_width = len(gates)
-    out_w = {}
-    for i in range(prev_width):
-        wire = input_wire(i + 1) if depth == 1 else gate_wire(depth - 1, i + 1)
-        out_w[wire] = coeff()
+    out_w = {i: coeff() for i in range(prev_width)}
     skip = None
     if skip_ok and rng.random() < 0.4:
-        skip = affine({input_wire(rng.randint(1, n)): coeff()}, coeff())
+        skip = affine({rng.randint(1, n) - 1: coeff()}, coeff())
     return Circuit(n, tuple(layers), Gate(out_kind, affine(out_w, coeff())), skip)
 
 

@@ -27,7 +27,6 @@ from relucirc import (
     exact_rank,
     forster_lower_bound,
     inner_product_matrix,
-    input_wire,
     ltf_to_relu,
     max0xy_depth2,
     max0xy_value,
@@ -95,7 +94,7 @@ def test_02_ltf_two_relu_simulation(announce):
         for _ in range(200):
             n = rng.randint(1, 8)
             weights = {
-                input_wire(i + 1): Fraction(rng.randint(-8, 8)) for i in range(n)
+                i: Fraction(rng.randint(-8, 8)) for i in range(n)
             }
             bias = Fraction(rng.randint(-8, 8))
             gate = Gate(GateKind.LTF, affine(weights, bias))
@@ -105,7 +104,7 @@ def test_02_ltf_two_relu_simulation(announce):
             for idx in range(1 << n):
                 x = vertex(n, idx)
                 s = sum(
-                    weights[input_wire(i + 1)] * x[i] for i in range(n)
+                    weights[i] * x[i] for i in range(n)
                 ) + bias
                 assert got.value(idx) == (1 if s >= 0 else -1)
 
@@ -143,7 +142,7 @@ def test_04_restriction_collapse(announce):
             b = rng.randint(-40, 40)
             fix = {free + i + 1: rng.choice((-1, 1)) for i in range(fixed_count)}
             form = affine(
-                {input_wire(i + 1): Fraction(w[i]) for i in range(n)}, Fraction(b)
+                {i: Fraction(w[i]) for i in range(n)}, Fraction(b)
             )
             got = removability(form, Restriction(n, fix))
             folded_bias = b + sum(w[i - 1] * v for i, v in fix.items())

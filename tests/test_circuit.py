@@ -10,17 +10,17 @@ from relucirc import (
     ArityError,
     Circuit,
     ContractError,
+    FormatError,
     Gate,
     GateKind,
     ResourceCapError,
     TruthTable,
     WireError,
     affine,
+    circuit_from_json,
+    circuit_to_json,
     evaluate,
     forward_on_cube,
-    gate_wire,
-    input_wire,
-    parse_wire,
     simplify,
     truth_table,
     vertex,
@@ -31,7 +31,7 @@ from conftest import random_circuit, scalar_evaluate, scalar_forward, scalar_tab
 
 
 def single_gate(kind, weights, bias, n):
-    w = {input_wire(i + 1): Fraction(c) for i, c in enumerate(weights) if c}
+    w = {i: Fraction(c) for i, c in enumerate(weights) if c}
     return Circuit(n, (), Gate(kind, affine(w, bias)))
 
 
@@ -52,12 +52,12 @@ def test_ltf_outputs_plus_one_on_the_boundary():
 def test_sum_of_two_relus_is_the_identity():
     # ReLU(t) - ReLU(-t) = t, checked at t = -5
     gates = (
-        Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),
-        Gate(GateKind.RELU, affine({input_wire(1): Fraction(-1)}, 0)),
+        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
+        Gate(GateKind.RELU, affine({0: Fraction(-1)}, 0)),
     )
     out = Gate(
         GateKind.SUM,
-        affine({gate_wire(1, 1): Fraction(1), gate_wire(1, 2): Fraction(-1)}, 0),
+        affine({0: Fraction(1), 1: Fraction(-1)}, 0),
     )
     c = Circuit(1, (gates,), out)
     assert evaluate(c, (-5,)) == -5
@@ -78,9 +78,9 @@ def test_evaluate_is_deterministic():
 
 def test_skip_wires_add_into_the_output_argument():
     # output LTF reads a hidden ReLU plus x1 directly
-    gates = (Gate(GateKind.RELU, affine({input_wire(2): Fraction(1)}, 0)),)
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, -2))
-    skip = affine({input_wire(1): Fraction(1)}, 0)
+    gates = (Gate(GateKind.RELU, affine({1: Fraction(1)}, 0)),)
+    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, -2))
+    skip = affine({0: Fraction(1)}, 0)
     c = Circuit(2, (gates,), out, skip)
     # argument = ReLU(x2) + x1 - 2
     assert evaluate(c, (1, 1)) == 1
@@ -92,30 +92,59 @@ def test_skip_wires_add_into_the_output_argument():
 # wire naming and layering
 
 def test_wire_names_round_trip():
-    assert parse_wire(input_wire(3)) == ("x", 3, 0)
-    assert parse_wire(gate_wire(2, 5)) == ("g", 2, 5)
+    # in memory a form reads positions; documents name them x<i> and g<k>.<j>
+    bottom = (Gate(GateKind.RELU, affine({2: Fraction(1)}, 0)),)
+    second = tuple(Gate(GateKind.RELU, affine({0: Fraction(j)}, 0)) for j in range(1, 6))
+    c = Circuit(3, (bottom, second), Gate(GateKind.LTF, affine({4: Fraction(1)}, 0)))
+    doc = circuit_to_json(c)
+    assert doc["layers"][0][0]["weights"] == {"x3": "1/1"}
+    assert doc["layers"][1][4]["weights"] == {"g1.1": "5/1"}
+    assert doc["outputGate"]["weights"] == {"g2.5": "1/1"}
+    assert circuit_from_json(doc) == c
+
+
+def _one_relu_doc(output_weights, skip_weights=None):
+    """A document with one hidden ReLU on x1 under an LTF output."""
+    return {
+        "inputCount": 1,
+        "layers": [[{"kind": "RELU", "weights": {"x1": "1/1"}, "bias": "0/1"}]],
+        "outputGate": {"kind": "LTF", "weights": output_weights, "bias": "0/1"},
+        "skipWires": None if skip_weights is None
+        else {"weights": skip_weights, "bias": "0/1"},
+    }
 
 
 def test_gates_must_read_the_previous_layer_only():
-    gates = (Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),)
-    bad_out = Gate(GateKind.LTF, affine({input_wire(1): Fraction(1)}, 0))
-    with pytest.raises(WireError):
-        Circuit(1, (gates,), bad_out)
+    assert circuit_from_json(_one_relu_doc({"g1.1": "1/1"})).depth == 2
+    with pytest.raises(FormatError):
+        circuit_from_json(_one_relu_doc({"x1": "1/1"}))
 
 
 def test_skip_wires_may_read_inputs_only():
-    gates = (Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),)
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0))
+    assert circuit_from_json(_one_relu_doc({"g1.1": "1/1"}, {"x1": "1/1"})).skip_wires
+    with pytest.raises(FormatError):
+        circuit_from_json(_one_relu_doc({"g1.1": "1/1"}, {"g1.1": "1/1"}))
+
+
+def test_forms_must_read_positions_of_the_layer_below():
+    gates = (Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),)
+    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, 0))
     with pytest.raises(WireError):
-        Circuit(1, (gates,), out, affine({gate_wire(1, 1): Fraction(1)}, 0))
+        Circuit(1, (gates,), Gate(GateKind.LTF, affine({1: Fraction(1)}, 0)))
+    with pytest.raises(WireError):
+        Circuit(1, (gates,), out, affine({1: Fraction(1)}, 0))
+    with pytest.raises(WireError):
+        Circuit(1, ((Gate(GateKind.RELU, affine({-1: Fraction(1)}, 0)),),), out)
+    with pytest.raises(WireError):
+        Circuit(1, ((Gate(GateKind.RELU, affine({"x1": Fraction(1)}, 0)),),), out)
 
 
 def test_depth_width_size_counters():
     gates = (
-        Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),
-        Gate(GateKind.RELU, affine({input_wire(2): Fraction(1)}, 0)),
+        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
+        Gate(GateKind.RELU, affine({1: Fraction(1)}, 0)),
     )
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0))
+    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, 0))
     c = Circuit(2, (gates,), out)
     assert c.depth == 2
     assert c.widths == (2,)
@@ -233,8 +262,8 @@ def test_evaluate_matches_scalar_oracle_off_the_cube(rng):
 
 def test_evaluate_ltf_hidden_gates_with_denominators_beyond_int64(rng):
     # at these points a hidden LTF gate's scaled output +-den is past int64
-    sign = Gate(GateKind.LTF, affine({input_wire(1): 1, input_wire(2): -1}))
-    c = Circuit(2, ((sign,),), Gate(GateKind.SUM, affine({gate_wire(1, 1): 3})))
+    sign = Gate(GateKind.LTF, affine({0: 1, 1: -1}))
+    c = Circuit(2, ((sign,),), Gate(GateKind.SUM, affine({0: 3})))
     for _ in range(20):
         p = tuple(Fraction(rng.randint(-9, 9), 10**20 + rng.randint(1, 99)) for _ in range(2))
         assert evaluate(c, p) == (3 if p[0] >= p[1] else -3)
@@ -248,8 +277,8 @@ def test_evaluate_ltf_hidden_gates_with_denominators_beyond_int64(rng):
 def test_bulk_path_survives_an_output_denominator_beyond_int64():
     # small numerators, but the hidden and output scales multiply past 2^62
     p, q = 2**41 + 15, 2**41 + 21
-    hidden = Gate(GateKind.RELU, affine({input_wire(1): Fraction(1, p)}, 0))
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1, q)}, 0))
+    hidden = Gate(GateKind.RELU, affine({0: Fraction(1, p)}, 0))
+    out = Gate(GateKind.LTF, affine({0: Fraction(1, q)}, 0))
     c = Circuit(1, ((hidden,),), out, None)
     assert truth_table(c) == scalar_table(c)
     fwd = forward_on_cube(c)
@@ -305,11 +334,11 @@ def test_table_hex_round_trips(n, data):
 def test_simplify_drops_a_dead_relu():
     gates = (
         Gate(GateKind.RELU, affine({}, -1)),
-        Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),
+        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
     )
     out = Gate(
         GateKind.SUM,
-        affine({gate_wire(1, 1): Fraction(5), gate_wire(1, 2): Fraction(1)}, 0),
+        affine({0: Fraction(5), 1: Fraction(1)}, 0),
     )
     c = simplify(Circuit(1, (gates,), out))
     assert c.relu_count == 1
@@ -319,11 +348,11 @@ def test_simplify_drops_a_dead_relu():
 def test_simplify_folds_a_constant_relu_into_successors():
     gates = (
         Gate(GateKind.RELU, affine({}, 2)),
-        Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),
+        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
     )
     out = Gate(
         GateKind.SUM,
-        affine({gate_wire(1, 1): Fraction(3), gate_wire(1, 2): Fraction(1)}, 1),
+        affine({0: Fraction(3), 1: Fraction(1)}, 1),
     )
     c = simplify(Circuit(1, (gates,), out))
     assert c.relu_count == 1
@@ -333,8 +362,8 @@ def test_simplify_folds_a_constant_relu_into_successors():
 
 
 def test_simplify_keeps_a_minimal_circuit():
-    gates = (Gate(GateKind.RELU, affine({input_wire(1): Fraction(1)}, 0)),)
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0))
+    gates = (Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),)
+    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, 0))
     c = Circuit(1, (gates,), out)
     s = simplify(c)
     assert s.size == c.size

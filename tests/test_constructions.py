@@ -16,7 +16,6 @@ from relucirc import (
     TruthTable,
     affine,
     evaluate,
-    input_wire,
     linear_as_2relu,
     ltf_to_relu,
     max0xy_depth2,
@@ -126,7 +125,7 @@ def test_parity_matches_mod2_on_every_input(k):
 # LTF by two ReLUs
 
 def ltf_gate(weights, bias):
-    w = {input_wire(i + 1): Fraction(c) for i, c in enumerate(weights) if c}
+    w = {i: Fraction(c) for i, c in enumerate(weights) if c}
     return Gate(GateKind.LTF, affine(w, bias))
 
 
@@ -185,7 +184,7 @@ def test_simulation_output_is_plus_minus_one_everywhere_on_the_cube(rng):
 def test_binary_counter_pattern():
     # sum_i 2^(i-1) (1 + x_i)/2 walks 0..7 over the 3-cube
     form = affine(
-        {input_wire(i + 1): Fraction(1 << i, 2) for i in range(3)},
+        {i: Fraction(1 << i, 2) for i in range(3)},
         Fraction(7, 2),
     )
     c = linear_as_2relu(form, 3)
@@ -202,7 +201,7 @@ def test_zero_form_gives_zero():
 
 
 def test_identity_line():
-    c = linear_as_2relu(affine({input_wire(1): Fraction(1)}, 0), 1)
+    c = linear_as_2relu(affine({0: Fraction(1)}, 0), 1)
     assert evaluate(c, (-3,)) == -3
     assert evaluate(c, (Fraction(5, 3),)) == Fraction(5, 3)
 
@@ -211,14 +210,14 @@ def test_linear_form_matches_off_the_cube(rng):
     for _ in range(25):
         n = rng.randint(1, 4)
         form = affine(
-            {input_wire(i + 1): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            {i: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
              for i in range(n)},
             Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
         )
         c = linear_as_2relu(form, n)
         p = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n))
         assert evaluate(c, p) == form.value(
-            {input_wire(i + 1): p[i] for i in range(n)}
+            {i: p[i] for i in range(n)}
         )
 
 
@@ -228,7 +227,7 @@ def test_linear_form_matches_off_the_cube(rng):
 def test_vertex_indicator_fires_only_at_its_vertex():
     from relucirc import Circuit as C
     spike = C(2, (), Gate(GateKind.RELU, affine(
-        {input_wire(1): Fraction(1), input_wire(2): Fraction(1)}, -1)))
+        {0: Fraction(1), 1: Fraction(1)}, -1)))
     values = [evaluate(spike, vertex(2, i)) for i in range(4)]
     assert values == [1, 0, 0, 0]
 

@@ -31,7 +31,7 @@ from relucirc import (
 from relucirc.circuit import vertex
 from relucirc.cli import main
 from relucirc.restriction import SurvivalRow, WeightDistribution
-from relucirc.serialize import circuit_from_json, table_from_hex
+from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_hex
 
 REPORT_KEYS = {
     "n", "epsilon", "trials", "seed", "reference", "minAgreementCount",
@@ -552,6 +552,45 @@ def test_cli_reports_are_byte_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second and first
     assert json.dumps(json.loads(first), indent=2, sort_keys=True) + "\n" == first
+
+
+def _one_relu_doc(weights):
+    """One hidden ReLU on x1 under an LTF output with the given weights."""
+    return {
+        "inputCount": 1,
+        "layers": [[{"kind": "RELU", "weights": {"x1": "1/1"}, "bias": "0/1"}]],
+        "outputGate": {"kind": "LTF", "weights": weights, "bias": "0/1"},
+    }
+
+
+BAD_CIRCUIT_FILES = {
+    "not-json": "{not json",
+    "wrong-layer": json.dumps(_one_relu_doc({"x1": "1/1"})),
+    "out-of-range": json.dumps(_one_relu_doc({"g1.2": "1/1"})),
+    "weights-list": json.dumps(_one_relu_doc([1, 2])),
+    "parity": json.dumps(circuit_to_json(parity_sum_of_relu(3))),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["signrank", "random", "--m", "-1"],
+    ["signrank", "function", "--name", "inner-product", "--m", "-2"],
+    ["random-approx", "--n", "-1", "--epsilon", "1/4"],
+    ["restrict", "apply", "--circuit", "not-json", "--fix", "1=1"],
+    ["restrict", "apply", "--circuit", "wrong-layer", "--fix", "1=1"],
+    ["restrict", "apply", "--circuit", "out-of-range", "--fix", "1=1"],
+    ["restrict", "apply", "--circuit", "weights-list", "--fix", "1=1"],
+    ["refute-max", "--circuit", "weights-list"],
+    ["restrict", "apply", "--circuit", "parity", "--fix", "1=0"],
+])
+def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
+    for name, text in BAD_CIRCUIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_cli_rejects_malformed_circuit_files(tmp_path, capsys):

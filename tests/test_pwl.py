@@ -16,9 +16,7 @@ from relucirc import (
     dump_pwl,
     evaluate,
     first_grid_mismatch,
-    gate_wire,
     grid_max_error,
-    input_wire,
     load_pwl,
     max0xy_depth2,
     max0xy_one_sided,
@@ -414,10 +412,9 @@ def _max_layers(scale=None):
         k, j, s = scale
         kind, w, b = layers[k][j]
         layers[k][j] = (kind, {x: v * s for x, v in w.items()}, b * s)
-        wire = gate_wire(k + 1, j + 1)
         for reader in (out_w,) if k == 1 else (w for _, w, _ in layers[1]):
-            if wire in reader:
-                reader[wire] /= s
+            if j in reader:
+                reader[j] /= s
     return layers, out_w, out_b
 
 
@@ -518,12 +515,12 @@ def test_scans_of_a_grid_wider_than_one_slab(scans):
     # a fourth second-layer gate ReLU(ReLU(x1) - 250), read with weight 1/3,
     # changes the output only where x1 > 250
     c = max0xy_depth2()
-    extra = Gate(GateKind.RELU, affine({gate_wire(1, 1): 1}, -250))
+    extra = Gate(GateKind.RELU, affine({0: 1}, -250))
     out = c.output_gate.form
     broken = Circuit(
         2,
         (c.layers[0], c.layers[1] + (extra,)),
-        Gate(GateKind.SUM, affine({**out.weights, gate_wire(2, 4): Fraction(1, 3)}, out.bias)),
+        Gate(GateKind.SUM, affine({**out.weights, 3: Fraction(1, 3)}, out.bias)),
         c.skip_wires,
     )
     point = (Fraction(501, 2), Fraction(-300))
@@ -543,16 +540,16 @@ def test_sum_circuits_convert_to_term_sums(rng):
         width = rng.randint(1, 4)
         gates = tuple(
             Gate(GateKind.RELU, affine(
-                {input_wire(1): Fraction(rng.randint(-3, 3)),
-                 input_wire(2): Fraction(rng.randint(-3, 3))},
+                {0: Fraction(rng.randint(-3, 3)),
+                 1: Fraction(rng.randint(-3, 3))},
                 Fraction(rng.randint(-3, 3))))
             for _ in range(width)
         )
-        out_w = {gate_wire(1, j + 1): Fraction(rng.randint(-3, 3))
+        out_w = {j: Fraction(rng.randint(-3, 3))
                  for j in range(width)}
         skip = affine(
-            {input_wire(1): Fraction(rng.randint(-2, 2)),
-             input_wire(2): Fraction(rng.randint(-2, 2))},
+            {0: Fraction(rng.randint(-2, 2)),
+             1: Fraction(rng.randint(-2, 2))},
             Fraction(rng.randint(-2, 2)),
         ) if rng.random() < 0.5 else None
         c = Circuit(2, (gates,), Gate(GateKind.SUM, affine(out_w, 0)), skip)

@@ -23,8 +23,6 @@ from relucirc import (
     bit_to_sign,
     evaluate,
     fold,
-    gate_wire,
-    input_wire,
     removability,
     sample_andreev_restriction,
     sign_to_bit,
@@ -38,7 +36,7 @@ from conftest import scalar_evaluate
 
 def form_of(weights, bias):
     return affine(
-        {input_wire(i + 1): Fraction(c) for i, c in enumerate(weights) if c},
+        {i: Fraction(c) for i, c in enumerate(weights) if c},
         Fraction(bias),
     )
 
@@ -50,7 +48,7 @@ def brute_classification(form, rho):
     for assignment in itertools.product((-1, 1), repeat=len(free)):
         point = rho.fill(dict(zip(free, assignment)))
         values.append(
-            form.value({input_wire(i + 1): Fraction(x) for i, x in enumerate(point)})
+            form.value([Fraction(x) for x in point])
         )
     if max(values) <= 0:
         return Removability.CONSTANT_ZERO
@@ -65,7 +63,7 @@ def brute_classification(form, rho):
 def test_fold_absorbs_fixed_coordinates():
     f = form_of((1, 2, 3), 0)
     folded = fold(f, Restriction(3, {2: -1}))
-    assert folded.weights == {input_wire(1): 1, input_wire(3): 3}
+    assert folded.weights == {0: 1, 2: 3}
     assert folded.bias == -2
 
 
@@ -104,7 +102,7 @@ def test_classification_agrees_with_subcube_enumeration():
     for _ in range(1500):
         n = rng.randint(1, 12)
         f = affine(
-            {input_wire(i + 1): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            {i: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
              for i in range(n) if rng.random() < 0.8},
             Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         )
@@ -137,7 +135,7 @@ def slice_matches(circuit, rho, report):
 
 def test_single_linearized_gate_leaves_no_relus():
     gates = (Gate(GateKind.RELU, form_of((1, 1, 1), 3)),)
-    out = Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, -2))
+    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, -2))
     c = Circuit(3, (gates,), out)
     rho = Restriction(3, {})
     report = apply_restriction(c, rho)
@@ -153,7 +151,7 @@ def test_all_surviving_gates_keep_the_size():
     )
     out = Gate(
         GateKind.LTF,
-        affine({gate_wire(1, 1): Fraction(1), gate_wire(1, 2): Fraction(-1)}, 0),
+        affine({0: Fraction(1), 1: Fraction(-1)}, 0),
     )
     c = Circuit(2, (gates,), out)
     rho = Restriction(2, {})

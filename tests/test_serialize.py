@@ -78,6 +78,35 @@ def test_malformed_documents_are_rejected():
         )
 
 
+def test_weight_keys_must_be_wires_of_the_layer_read():
+    def doc(bottom, output, skip=None):
+        return {
+            "inputCount": 2,
+            "layers": [[{"kind": "RELU", "weights": bottom, "bias": "0/1"}]],
+            "outputGate": {"kind": "LTF", "weights": output, "bias": "0/1"},
+            "skipWires": None if skip is None else {"weights": skip, "bias": "0/1"},
+        }
+
+    c = circuit_from_json(doc({"x2": "3/1"}, {"g1.1": "1/2"}, {"x1": "-1/1"}))
+    assert c.layers[0][0].form.weights == {1: 3}
+    assert c.output_gate.form.weights == {0: Fraction(1, 2)}
+    assert c.skip_wires.weights == {0: -1}
+    for bad in (
+        doc({"g1.1": "1/1"}, {"g1.1": "1/1"}),   # the bottom layer reads a gate
+        doc({"x1": "1/1"}, {"x1": "1/1"}),       # the output gate reads an input
+        doc({"x1": "1/1"}, {"g1.1": "1/1"}, {"g1.1": "1/1"}),  # skip reads a gate
+        doc({"x3": "1/1"}, {"g1.1": "1/1"}),     # beyond the inputs
+        doc({"x0": "1/1"}, {"g1.1": "1/1"}),
+        doc({"x1": "1/1"}, {"g1.2": "1/1"}),     # beyond the hidden layer
+        doc({"x1": "1/1"}, {"g2.1": "1/1"}),     # a layer that does not exist
+        doc({"x01": "1/1"}, {"g1.1": "1/1"}),    # not the id's spelling
+        doc([1, 2], {"g1.1": "1/1"}),            # weights must be an object
+        doc({"x1": "1/1"}, {"g1.1": "1/1"}, ["x1"]),
+    ):
+        with pytest.raises(FormatError):
+            circuit_from_json(bad)
+
+
 def test_zero_weights_are_dropped_on_load():
     doc = {
         "inputCount": 1,

@@ -30,10 +30,8 @@ from relucirc import (
     exact_rank,
     float_singular_values,
     forster_lower_bound,
-    gate_wire,
     inner_product_matrix,
     inner_product_sign,
-    input_wire,
     pre_sign_matrix,
     random_cone_circuit,
     sign_matrix,
@@ -161,13 +159,13 @@ def test_pre_sign_is_linear_under_circuit_merge():
         rng = random.Random(seed)
         gates = tuple(
             Gate(GateKind.RELU, affine(
-                {input_wire(i + 1): Fraction(rng.randint(-3, 3))
+                {i: Fraction(rng.randint(-3, 3))
                  for i in range(2 * m)},
                 rng.randint(-2, 2)))
             for _ in range(2)
         )
         out = Gate(GateKind.LTF, affine(
-            {gate_wire(1, j + 1): Fraction(rng.randint(-3, 3)) for j in range(2)},
+            {j: Fraction(rng.randint(-3, 3)) for j in range(2)},
             rng.randint(-2, 2)))
         return Circuit(2 * m, (gates,), out)
 
@@ -175,10 +173,8 @@ def test_pre_sign_is_linear_under_circuit_merge():
     a, b = depth2(m, 1), depth2(m, 2)
     merged_gates = a.layers[0] + b.layers[0]
     merged_out_w = dict(a.output_gate.form.weights)
-    for j, g in enumerate(b.layers[0], start=1):
-        merged_out_w[gate_wire(1, len(a.layers[0]) + j)] = b.output_gate.form.weights[
-            gate_wire(1, j)
-        ]
+    for j, g in enumerate(b.layers[0]):
+        merged_out_w[len(a.layers[0]) + j] = b.output_gate.form.weights[j]
     merged = Circuit(
         2 * m,
         (merged_gates,),
@@ -266,13 +262,13 @@ def test_all_ones_matrix_is_one_block():
 def test_single_gate_blocks_match_the_dot_product_values():
     # ReLU((x1 + 2 x2) + (y1 + 2 y2)) has 4 distinct x-half dot products
     w = {
-        input_wire(1): Fraction(1), input_wire(2): Fraction(2),
-        input_wire(3): Fraction(1), input_wire(4): Fraction(2),
+        0: Fraction(1), 1: Fraction(2),
+        2: Fraction(1), 3: Fraction(2),
     }
     c = Circuit(
         4,
         ((Gate(GateKind.RELU, affine(w, 0)),),),
-        Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0)),
+        Gate(GateKind.LTF, affine({0: Fraction(1)}, 0)),
     )
     sigma = VertexOrdering.standard(2)
     M = pre_sign_matrix(c, 2, sigma, sigma)
@@ -310,11 +306,11 @@ def test_depth2_block_bound_value():
 
 def test_single_gate_block_bound():
     sigma = VertexOrdering.standard(2)
-    w = {input_wire(i + 1): Fraction(c) for i, c in enumerate((1, 2, 1, 2))}
+    w = {i: Fraction(c) for i, c in enumerate((1, 2, 1, 2))}
     c = Circuit(
         4,
         ((Gate(GateKind.RELU, affine(w, 1)),),),
-        Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0)),
+        Gate(GateKind.LTF, affine({0: Fraction(1)}, 0)),
     )
     report = verify_block_bound(c, 2, 2, sigma, sigma)
     assert report["rowBlocks"] <= 2 * 2 * 2 + 1
@@ -322,11 +318,11 @@ def test_single_gate_block_bound():
 
 def test_cone_violation_names_the_gate():
     sigma = VertexOrdering.standard(3)
-    w = {input_wire(i + 1): Fraction(c) for i, c in enumerate((3, 2, 1, 1, 2, 3))}
+    w = {i: Fraction(c) for i, c in enumerate((3, 2, 1, 1, 2, 3))}
     c = Circuit(
         6,
         ((Gate(GateKind.RELU, affine(w, 0)),),),
-        Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0)),
+        Gate(GateKind.LTF, affine({0: Fraction(1)}, 0)),
     )
     with pytest.raises(ContractError, match="g1.1"):
         verify_block_bound(c, 3, 3, sigma, sigma)
@@ -334,11 +330,11 @@ def test_cone_violation_names_the_gate():
 
 def test_fractional_bottom_weights_are_rejected():
     sigma = VertexOrdering.standard(1)
-    w = {input_wire(1): Fraction(1, 2)}
+    w = {0: Fraction(1, 2)}
     c = Circuit(
         2,
         ((Gate(GateKind.RELU, affine(w, 0)),),),
-        Gate(GateKind.LTF, affine({gate_wire(1, 1): Fraction(1)}, 0)),
+        Gate(GateKind.LTF, affine({0: Fraction(1)}, 0)),
     )
     with pytest.raises(ContractError):
         verify_block_bound(c, 1, 2, sigma, sigma)
