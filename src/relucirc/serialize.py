@@ -9,13 +9,13 @@ input).  The circuit document shape is::
      "outputGate": {...},
      "skipWires": {...} | null}
 
-Weights are keyed by wire ids: ``x<i>`` for input i and ``g<k>.<j>`` for gate
-j of hidden layer k, both 1-based.  This module is the only place that knows
-the format: in memory a form's weights are keyed by the 0-based position it
-reads in the layer below, so `circuit_from_json` maps each id through the ids
-of that layer and rejects ids of any other layer.
-
 and a ReLU sum is ``{"terms": [{"coeff": ..., "normal": [..., ...], "bias": ...}]}``.
+
+Circuit weights are keyed by wire ids: ``x<i>`` for input i and ``g<k>.<j>``
+for gate j of hidden layer k, both 1-based.  This module is the only place
+that knows the format: in memory a form's weights are keyed by the 0-based
+position it reads in the layer below, so `circuit_from_json` maps each id
+through the ids of that layer and rejects ids of any other layer.
 """
 from __future__ import annotations
 

@@ -517,7 +517,7 @@ def _verified_block_bound(
     if circuit.output_gate.kind is not GateKind.LTF:
         raise ContractError("output gate must be an LTF")
     for j, gate in enumerate(circuit.layers[0], start=1):
-        a = [Fraction(0)] * (2 * m)
+        a = [Fraction(0)] * circuit.input_count
         for i, w in gate.form.weights.items():
             if w.denominator != 1 or abs(w) > bound:
                 raise ContractError(

@@ -582,7 +582,14 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "apply", "--circuit", "weights-list", "--fix", "1=1"],
     ["refute-max", "--circuit", "weights-list"],
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=0"],
-])
+    ["signrank", "random", "--m", "2", "--weight-bound", "-1"],
+    ["random-approx", "--n", "3", "--epsilon", "1/4", "--reference", "random-circuit",
+     "--weight-bound", "-1"],
+    ["restrict", "survival", "--n-list", "-1"],
+    ["restrict", "survival", "--n-list", "8", "--gates", "0"],
+    ["restrict", "survival", "--n-list", "8", "--seed", "-1"],
+    ["construct", "linear", "--weights", "1,2", "--bias", "1/0"],
+], ids=" ".join)
 def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
     for name, text in BAD_CIRCUIT_FILES.items():
         (tmp_path / name).write_text(text)
