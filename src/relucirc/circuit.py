@@ -188,11 +188,13 @@ class Circuit:
             if not layer:
                 raise WireError(f"layer {k} is empty")
             for j, gate in enumerate(layer, start=1):
-                _check_reads(gate.form, prev, f"gate {j} of layer {k}", f"layer {k - 1}")
+                if not prev >= gate.form.weights.keys():
+                    raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
             prev = _positions(len(layer))
-        _check_reads(self.output_gate.form, prev, "the output gate", "the last layer")
-        if self.skip_wires is not None:
-            _check_reads(self.skip_wires, inputs, "the skip wires", "the inputs")
+        if not prev >= self.output_gate.form.weights.keys():
+            raise _read_error(self.output_gate.form, prev, "the output gate")
+        if self.skip_wires is not None and not inputs >= self.skip_wires.weights.keys():
+            raise _read_error(self.skip_wires, inputs, "the skip wires")
 
     @cached_property
     def _lowered(self) -> "_Lowering":
@@ -224,12 +226,9 @@ class Circuit:
         return count
 
 
-def _check_reads(form: AffineForm, positions: frozenset[int], reader: str, layer: str) -> None:
-    if not positions >= form.weights.keys():
-        bad = sorted(form.weights.keys() - positions, key=repr)
-        raise WireError(
-            f"{reader} reads {bad}, outside the {len(positions)} positions of {layer}"
-        )
+def _read_error(form: AffineForm, positions: frozenset[int], reader: str) -> WireError:
+    bad = sorted(form.weights.keys() - positions, key=repr)
+    return WireError(f"{reader}: {bad} not among the {len(positions)} positions it may read")
 
 
 def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
