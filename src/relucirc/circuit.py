@@ -98,7 +98,7 @@ def affine(weights: Mapping[int, Rational], bias: Rational = 0) -> "AffineForm":
 class AffineForm:
     """weights . values + bias, with exact rational coefficients.
 
-    ``weights`` maps 0-based positions of the layer read to nonzero weights.
+    ``weights`` maps 0-based positions of the layer read to their weights.
     """
 
     weights: Mapping[int, Fraction]
