@@ -354,6 +354,28 @@ def test_cli_signrank_random_bytes_match_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+SIGNRANK_GOLDEN = [
+    ("signrank_function_inner-product_m7.json", ["function", "--name", "inner-product", "--m", "7"]),
+    (
+        "signrank_function_inner-product_m3.csv",
+        ["function", "--name", "inner-product", "--m", "3", "--format", "csv"],
+    ),
+    (
+        "signrank_function_arkadev-nikhil_blocks2_width3.json",
+        ["function", "--name", "arkadev-nikhil", "--blocks", "2", "--block-width", "3"],
+    ),
+    ("signrank_random_m5_seed3.json", ["random", "--m", "5", "--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("golden, args", SIGNRANK_GOLDEN)
+def test_cli_signrank_bytes_match_golden(capsys, golden, args):
+    # captured while sign-rank matrices were tuples of Fractions; they pin the
+    # float bytes of the Forster value and the CSV's integer formatting
+    assert run_cli(["signrank", *args]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_cli_signrank_inner_product(capsys):
     doc = cli_json(capsys, ["signrank", "function", "--name", "inner-product", "--m", "3"])
     assert doc["shape"] == [8, 8]
