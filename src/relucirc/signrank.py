@@ -3,8 +3,17 @@
 A circuit on 2m inputs splits into an x-half (coordinates 1..m, rows) and a
 y-half (m+1..2m, columns).  When every bottom gate's half-weights order the
 vertices consistently with shared row/column orderings, the output's pre-sign
-matrix is block-constant with few blocks, which caps its exact rank and in
-turn the sign-rank certified by the spectral lower bound.
+matrix is block-constant with few blocks, which caps its exact rank.  The
+spectral sign-rank lower bound `forster_lower_bound` divides by a
+power-iteration estimate of the spectral norm; it is an estimate, not a
+certified bound.
+
+`RationalMatrix` and `SignMatrix` store a 2-D numpy array ``num`` of integer
+numerators over one positive denominator ``den`` in lowest terms (1 for sign
+matrices).  The numerators are int64 when every one has absolute value below
+2^62, and Python ints in an object array otherwise.  ``entries``, the
+tuple-of-tuples view (Fractions, or ints for sign matrices), is built on
+first access.
 """
 from __future__ import annotations
 
@@ -26,11 +35,24 @@ from .circuit import (
     GateKind,
     InvariantViolationError,
     ResourceCapError,
+    cube_matrix,
     forward_on_cube,
     matrix_cap,
     vertex,
 )
 from .serialize import gate_wire
+
+_INT64_LIMIT = 1 << 62
+
+
+def _cube_dots(m: int, r: Sequence[int | Fraction]) -> np.ndarray:
+    """<r, x> for every vertex x of the m-cube, by vertex index, scaled by
+    the lcm of r's denominators (a positive scale keeps every comparison)."""
+    q = [Fraction(v) for v in r]
+    scale = math.lcm(*(v.denominator for v in q))
+    ints = [v.numerator * (scale // v.denominator) for v in q]
+    dtype = np.int64 if sum(map(abs, ints)) < _INT64_LIMIT else object
+    return np.array(ints, dtype=dtype) @ cube_matrix(m, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -53,15 +75,10 @@ class VertexOrdering:
         """Sort vertices by <r, x>; the objective must separate all vertices."""
         if len(r) != m:
             raise ArityError(f"objective needs {m} coordinates")
-        dots = []
-        for idx in range(1 << m):
-            x = vertex(m, idx)
-            dots.append((sum(ri * xi for ri, xi in zip(r, x)), idx))
-        values = {d for d, _ in dots}
-        if len(values) != len(dots):
+        dots = _cube_dots(m, r)
+        if np.unique(dots).size != dots.size:
             raise ContractError("objective does not separate the vertices")
-        dots.sort()
-        return cls(m, tuple(idx for _, idx in dots))
+        return cls(m, tuple(np.argsort(dots, kind="stable").tolist()))
 
     @classmethod
     def standard(cls, m: int) -> "VertexOrdering":
@@ -69,48 +86,109 @@ class VertexOrdering:
         return cls.from_objective(m, [1 << i for i in range(m)])
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+def _rectangular(rows: tuple[tuple, ...]) -> tuple[int, int]:
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ArityError("ragged matrix")
+    return len(rows), widths.pop() if widths else 0
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ArityError("ragged matrix")
+
+def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(num, den) divided by their gcd; int64 numerators when all fit."""
+    if num.dtype != object and ((num >= _INT64_LIMIT) | (num <= -_INT64_LIMIT)).any():
+        num = num.astype(object)
+    g = math.gcd(den, int(np.gcd.reduce(num, axis=None))) if num.size else den
+    if g > 1:
+        num, den = num // g, den // g
+    if num.dtype == object and (num.size == 0 or np.abs(num).max() < _INT64_LIMIT):
+        num = num.astype(np.int64)
+    return num, den
+
+
+class _Matrix:
+    """Integer numerators ``num`` (read-only) over one positive ``den``."""
+
+    __slots__ = ("num", "den", "_entries")
+
+    def _set(self, num: np.ndarray, den: int, entries: tuple | None = None) -> None:
+        num.flags.writeable = False
+        self.num, self.den, self._entries = num, den, entries
+
+    @classmethod
+    def _from_array(cls, num: np.ndarray, den: int = 1):
+        """The matrix num / den, which must be in the form `_lowest_terms`
+        gives; it takes ``num`` over, and checks no entry."""
+        self = object.__new__(cls)
+        self._set(num, den)
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
-        rows = len(self.entries)
-        return rows, len(self.entries[0]) if rows else 0
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        widths = set()
-        for row in self.entries:
-            widths.add(len(row))
-            for v in row:
-                if v not in (-1, 1):
-                    raise ArityError("sign matrix entries must be +-1")
-        if len(widths) > 1:
-            raise ArityError("ragged matrix")
+        return self.num.shape
 
     @property
-    def shape(self) -> tuple[int, int]:
-        rows = len(self.entries)
-        return rows, len(self.entries[0]) if rows else 0
+    def entries(self) -> tuple[tuple, ...]:
+        if self._entries is None:
+            self._entries = self._build_entries()
+        return self._entries
+
+    def _build_entries(self) -> tuple[tuple, ...]:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.num.shape == other.num.shape
+            and np.array_equal(self.num, other.num)
+        )
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(entries={self.entries!r})"
+
+
+class RationalMatrix(_Matrix):
+    """A matrix of rationals; ``entries`` holds Fractions."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Sequence[int | Fraction]]):
+        rows = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        shape = _rectangular(rows)
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        flat = [v.numerator * (den // v.denominator) for row in rows for v in row]
+        num, den = _lowest_terms(np.array(flat, dtype=object).reshape(shape), den)
+        self._set(num, den, rows)
+
+    def _build_entries(self):
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.num.tolist())
+
+
+class SignMatrix(_Matrix):
+    """A +-1 matrix; ``entries`` holds ints and ``den`` is 1."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Sequence[Sequence[int]]):
+        rows = tuple(tuple(row) for row in entries)
+        shape = _rectangular(rows)
+        flat = [v for row in rows for v in row]
+        if not {1, -1}.issuperset(flat):
+            raise ArityError("sign matrix entries must be +-1")
+        self._set(np.array(flat, dtype=np.int64).reshape(shape), 1)
+
+    def _build_entries(self):
+        return tuple(map(tuple, self.num.tolist()))
 
 
 def sign_pattern(matrix: RationalMatrix) -> SignMatrix:
     """Entrywise threshold sign, with 0 -> +1 to match the LTF convention."""
-    return SignMatrix(
-        tuple(
-            tuple(1 if v >= 0 else -1 for v in row) for row in matrix.entries
-        )
-    )
+    return SignMatrix._from_array(np.where(matrix.num >= 0, 1, -1))
 
 
 def sign_matrix(
@@ -135,8 +213,8 @@ def sign_matrix(
             if v not in (-1, 1):
                 raise ContractError(f"function value {v!r} is not +-1")
             row.append(v)
-        rows.append(tuple(row))
-    return SignMatrix(tuple(rows))
+        rows.append(row)
+    return SignMatrix._from_array(np.array(rows, dtype=np.int64))
 
 
 def inner_product_sign(x: Sequence[int], y: Sequence[int]) -> int:
@@ -150,10 +228,9 @@ def inner_product_matrix(m: int, cap: int | None = None) -> SignMatrix:
         raise ArityError("negative arity")
     if m > matrix_cap(cap):
         raise ResourceCapError(f"m = {m} exceeds matrix cap")
-    rows = []
-    for i in range(1 << m):
-        rows.append(tuple(-1 if bin(i & j).count("1") & 1 else 1 for j in range(1 << m)))
-    return SignMatrix(tuple(rows))
+    idx = np.arange(1 << m, dtype=np.int64)
+    parity = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
+    return SignMatrix._from_array(np.where(parity, -1, 1))
 
 
 def _reorder(
@@ -161,12 +238,7 @@ def _reorder(
 ) -> RationalMatrix:
     rows = np.asarray(row_order.order, dtype=np.int64)
     cols = np.asarray(col_order.order, dtype=np.int64) << m
-    picked = nums[np.add.outer(rows, cols)]
-    return RationalMatrix(
-        tuple(
-            tuple(Fraction(int(v), den) for v in row) for row in picked
-        )
-    )
+    return RationalMatrix._from_array(*_lowest_terms(nums[np.add.outer(rows, cols)], den))
 
 
 def pre_sign_matrix(
@@ -229,14 +301,8 @@ def cone_membership(a: Sequence[int | Fraction], ordering: VertexOrdering) -> bo
     m = ordering.m
     if len(a) != m:
         raise ArityError(f"weight vector needs {m} coordinates")
-    prev = None
-    for idx in ordering.order:
-        x = vertex(m, idx)
-        dot = sum(ai * xi for ai, xi in zip(a, x))
-        if prev is not None and dot < prev:
-            return False
-        prev = dot
-    return True
+    dots = _cube_dots(m, a)[np.asarray(ordering.order)]
+    return bool(np.all(dots[1:] >= dots[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -339,60 +405,87 @@ class BlockPartition:
         return len(self.col_starts)
 
 
+def _block_starts(changes: np.ndarray) -> np.ndarray:
+    """First indices of the runs along an axis, given where it changes."""
+    return np.concatenate(([0], np.flatnonzero(changes) + 1))
+
+
 def block_partition(matrix: RationalMatrix | SignMatrix) -> BlockPartition:
     """Split at every row/column change; blocks are constant by construction
-    (equal consecutive rows share a block, likewise columns), re-checked here."""
-    entries = matrix.entries
-    n_rows = len(entries)
-    n_cols = len(entries[0]) if n_rows else 0
-    row_starts = [0] + [
-        i for i in range(1, n_rows) if entries[i] != entries[i - 1]
-    ]
-    col_starts = [0] + [
-        j
-        for j in range(1, n_cols)
-        if any(row[j] != row[j - 1] for row in entries)
-    ]
-    for i, start in enumerate(row_starts):
-        stop = row_starts[i + 1] if i + 1 < len(row_starts) else n_rows
-        for r in range(start + 1, stop):
-            if entries[r] != entries[start]:
-                raise InvariantViolationError("row block is not constant")
-    for j, start in enumerate(col_starts):
-        stop = col_starts[j + 1] if j + 1 < len(col_starts) else n_cols
-        for row in entries:
-            for c in range(start + 1, stop):
-                if row[c] != row[start]:
-                    raise InvariantViolationError("column block is not constant")
-    return BlockPartition(tuple(row_starts), tuple(col_starts))
+    (equal consecutive rows share a block, likewise columns), re-checked here
+    by spreading each block's first entry over the block."""
+    num = matrix.num
+    n_rows, n_cols = num.shape
+    row_starts = _block_starts(np.any(num[1:] != num[:-1], axis=1))
+    col_starts = _block_starts(np.any(num[:, 1:] != num[:, :-1], axis=0))
+    first_row = np.repeat(row_starts, np.diff(row_starts, append=n_rows))
+    first_col = np.repeat(col_starts, np.diff(col_starts, append=n_cols))
+    if not np.array_equal(num[np.ix_(first_row, first_col)], num):
+        raise InvariantViolationError("block is not constant")
+    return BlockPartition(tuple(row_starts.tolist()), tuple(col_starts.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # exact rank
 
-def _integer_rows(matrix: RationalMatrix | SignMatrix | Sequence[Sequence]) -> list[tuple[int, ...]]:
-    entries = getattr(matrix, "entries", matrix)
-    rows = []
-    for row in entries:
-        scale = math.lcm(*(Fraction(v).denominator for v in row)) if row else 1
-        rows.append(tuple(int(v * scale) for v in row))
-    return rows
+_PRIME = (1 << 31) - 1
 
 
 def exact_rank(matrix: RationalMatrix | SignMatrix | Sequence[Sequence]) -> int:
-    """Rank over the rationals, by fraction-free elimination on scaled rows.
+    """Rank over the rationals.
 
-    Row scaling, duplicate-row and duplicate-column removal preserve rank, so
-    the Bareiss sweep runs on a deduplicated integer matrix; every division
-    is exact.
+    Zero rows go, then duplicate rows and columns; none of this changes the
+    rank, and the denominator plays no part.  Elimination modulo the prime
+    p = 2^31 - 1 in int64 gives a rank that never exceeds the rank over the
+    rationals (every minor that vanishes over Q vanishes mod p), so when it
+    reaches the smaller dimension of the deduplicated matrix it is exact.
+    Otherwise a fraction-free Bareiss sweep over Python ints decides.
     """
-    rows = _integer_rows(matrix)
-    rows = [r for r in dict.fromkeys(rows) if any(r)]
-    if not rows:
+    if not isinstance(matrix, (RationalMatrix, SignMatrix)):
+        matrix = RationalMatrix(matrix)
+    num = matrix.num
+    num = num[np.any(num != 0, axis=1)]
+    if not num.shape[0]:
         return 0
-    cols = list(dict.fromkeys(zip(*rows)))
-    arr = np.array(cols, dtype=object).T  # rows x deduped-cols
+    num = _distinct_rows(_distinct_rows(num).T).T
+    rank = _rank_mod_prime(num)
+    if rank == min(num.shape):
+        return rank
+    return _bareiss_rank(num.astype(object))
 
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """One copy of each distinct row of ``a``, in order of first appearance."""
+    key = tuple if a.dtype == object else np.ndarray.tobytes
+    return a[list({key(row): i for i, row in enumerate(a)}.values())]
+
+
+def _rank_mod_prime(num: np.ndarray) -> int:
+    """Rank over GF(p), by fraction-free row reduction: each later row with a
+    nonzero entry e in the pivot column becomes pivot * row - e * pivot row.
+    Entries stay below p < 2^31, so every product stays below 2^62."""
+    a = (num % _PRIME).astype(np.int64)
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        nonzero = rank + np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        if nonzero[0] != rank:  # row `rank` is zero here, so it is no later hit
+            a[[rank, nonzero[0]]] = a[[nonzero[0], rank]]
+        hits = nonzero[1:]
+        if hits.size:
+            pivot = a[rank, col:]
+            a[hits, col:] = (a[hits, col:] * pivot[0] - np.outer(a[hits, col], pivot)) % _PRIME
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _bareiss_rank(arr: np.ndarray) -> int:
+    """Rank of an object array of Python ints by the Bareiss sweep, in place;
+    every division is exact."""
     n_rows, n_cols = arr.shape
     rank = 0
     prev = 1
@@ -417,12 +510,13 @@ def exact_rank(matrix: RationalMatrix | SignMatrix | Sequence[Sequence]) -> int:
     return rank
 
 
+def _floats(matrix: RationalMatrix | SignMatrix) -> np.ndarray:
+    return np.asarray(matrix.num / matrix.den, dtype=np.float64)
+
+
 def float_singular_values(matrix: RationalMatrix | SignMatrix) -> np.ndarray:
     """Floating-point singular values, for tolerance cross-checks only."""
-    return np.linalg.svd(
-        np.array([[float(v) for v in row] for row in matrix.entries]),
-        compute_uv=False,
-    )
+    return np.linalg.svd(_floats(matrix), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +536,11 @@ def spectral_norm(
     max_iter: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Largest singular value by power iteration on M^T M, seeded start."""
-    a = np.array([[float(v) for v in row] for row in matrix.entries])
+    """Largest singular value by power iteration on M^T M, seeded start.
+
+    An estimate: the iteration converges from below, so it can fall short
+    of the true norm."""
+    a = _floats(matrix)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
@@ -470,7 +567,9 @@ def forster_lower_bound(
     max_iter: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """sqrt(rows*cols) / ||M||: a lower bound on the sign-rank of M."""
+    """sqrt(rows*cols) / ||M||, Forster's lower bound on the sign-rank of M,
+    with ||M|| from `spectral_norm`'s power-iteration estimate.  An estimate
+    below the true norm puts the value above the bound."""
     rows, cols = matrix.shape
     norm = spectral_norm(matrix, tol=tol, max_iter=max_iter, seed=seed)
     return math.sqrt(rows * cols) / norm
@@ -478,9 +577,9 @@ def forster_lower_bound(
 
 def sign_rank_is_one(matrix: SignMatrix) -> bool:
     """True iff M = u v^T for +-1 vectors: every row is +-(first row)."""
-    first = matrix.entries[0]
-    neg_first = tuple(-v for v in first)
-    return all(row == first or row == neg_first for row in matrix.entries)
+    num = matrix.num
+    first = num[0]
+    return bool(np.all(np.all(num == first, axis=1) | np.all(num == -first, axis=1)))
 
 
 # ---------------------------------------------------------------------------

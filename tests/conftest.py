@@ -67,6 +67,23 @@ def scalar_table(circuit):
     return TruthTable.from_signs(n, signs)
 
 
+def scalar_rank(rows):
+    """Rank over the rationals by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def scalar_grid(radius, step):
     """The grid axis k * step for |k * step| <= radius, listed point by point."""
     radius, step = Fraction(radius), Fraction(step)

@@ -43,6 +43,9 @@ from relucirc import (
     verify_block_bound,
     vertex,
 )
+from relucirc import signrank
+
+from conftest import scalar_rank
 
 
 def rational(entries):
@@ -378,6 +381,171 @@ def test_rank_subadditivity_over_the_decomposition():
         beta, alphas, mats = top_decomposition(c, m)
         total = pre_sign_matrix(c, m)
         assert exact_rank(total) <= 1 + sum(exact_rank(F) for F in mats)
+
+
+P = (1 << 31) - 1  # the prime exact_rank eliminates modulo
+
+
+@pytest.fixture
+def bareiss(monkeypatch):
+    """Shapes of the deduplicated matrices handed to the Bareiss fallback."""
+    shapes = []
+    fallback = signrank._bareiss_rank
+
+    def spy(arr):
+        shapes.append(arr.shape)
+        return fallback(arr)
+
+    monkeypatch.setattr(signrank, "_bareiss_rank", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("entries, rank", [
+    ([[1, 0], [0, P]], 2),
+    ([[P, 2 * P], [3 * P, 5 * P]], 2),
+    ([[1, 2, 3], [2, 4, 6 + P], [0, 1, 0]], 3),
+    ([[P, 0, 0], [0, P, 0], [P, P, 0]], 2),
+])
+def test_rank_lost_modulo_the_prime_falls_back_to_bareiss(bareiss, entries, rank):
+    assert scalar_rank(entries) == rank
+    assert exact_rank(rational(entries)) == rank
+    assert bareiss, "the modular rank fell short, so Bareiss must decide"
+
+
+def test_full_modular_rank_skips_bareiss(bareiss):
+    assert exact_rank(inner_product_matrix(5)) == 32
+    assert exact_rank(rational([[1, 2], [3, 4], [5, 6]])) == 2
+    # duplicate rows and columns go on the object path too, leaving a 2x2
+    a = 10**30 + 1
+    assert exact_rank(rational([[a, 0, 0], [a, 0, 0], [0, a, a]])) == 2
+    assert exact_rank(rational([[1, 1, 2], [1, 1, 2], [2, 2, 1]])) == 2
+    assert bareiss == []
+
+
+def test_lowest_terms_keeps_int64_below_two_to_the_62():
+    lowest_terms = signrank._lowest_terms
+    big = np.array([[1 << 62, 0], [-(1 << 62), 1]], dtype=np.int64)
+    num, den = lowest_terms(big, 1)
+    assert num.dtype == object and den == 1
+    num, den = lowest_terms(big, 3)
+    assert num.dtype == object and den == 3
+    num, den = lowest_terms(np.array([[1 << 62, 4 << 62]], dtype=object), 3 << 62)
+    assert num.dtype == np.int64 and num.tolist() == [[1, 4]] and den == 3
+    num, den = lowest_terms(np.array([[(1 << 62) - 1]], dtype=object), 5)
+    assert num.dtype == np.int64 and den == 5
+    num, den = lowest_terms(np.zeros((2, 3), dtype=np.int64), 12)
+    assert num.dtype == np.int64 and not num.any() and den == 1
+    num, den = lowest_terms(np.array([[6, -4], [2, 0]], dtype=np.int64), 10)
+    assert num.tolist() == [[3, -2], [1, 0]] and den == 5
+
+
+def test_cone_matrices_reach_bareiss_deduplicated(bareiss):
+    c = cone_test_circuit(4, 7, widths=(2, 2))
+    sigma = VertexOrdering.standard(4)
+    pre = pre_sign_matrix(c, 4, sigma, sigma)
+    parts = block_partition(pre)
+    assert exact_rank(pre) == scalar_rank(pre.entries)
+    for rows, cols in bareiss:
+        assert rows <= parts.row_blocks and cols <= parts.col_blocks
+
+
+def test_huge_entries_take_the_object_path(bareiss):
+    rng = random.Random(2)
+    left = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(6)]
+    right = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(2)]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    rank = scalar_rank(product)
+    assert rank == 2
+    for den in (1, 7):
+        scaled = rational([[Fraction(v * 10**30, den) for v in row] for row in product])
+        assert scaled.num.dtype == object and scaled.den == den
+        assert exact_rank(scaled) == rank
+    assert bareiss, "a low-rank matrix is decided by Bareiss"
+    near = rational([[1, 1 << 62], [1, (1 << 62) - 1]])
+    assert near.num.dtype == object and exact_rank(near) == 2
+    assert rational([[1, (1 << 62) - 1]]).num.dtype == np.int64
+
+
+@pytest.mark.parametrize("matrix", [
+    RationalMatrix(()),
+    RationalMatrix(((), ())),
+    SignMatrix(()),
+    [],
+    [[0, 0, 0], [0, 0, 0]],
+    rational([[0] * 4] * 3),
+    RationalMatrix(((Fraction(0), Fraction(0, 5)),)),
+])
+def test_empty_and_zero_matrices_have_rank_zero(matrix):
+    assert exact_rank(matrix) == 0
+
+
+def test_rank_of_products_of_random_factors(bareiss):
+    rng = random.Random(0x5EED)
+    for trial in range(60):
+        rank = rng.randint(0, 6)
+        rows, cols = rng.randint(rank, 9), rng.randint(rank, 9)
+        # each factor holds an identity block, so it has full rank
+        left = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        left += [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows - rank)]
+        right = [[int(i == j) for i in range(rank)] for j in range(rank)]
+        right += [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(cols - rank)]
+        rng.shuffle(left)
+        rng.shuffle(right)
+        scale = 10**25 if trial % 5 == 0 else 1
+        product = [
+            [scale * sum(a * b for a, b in zip(row, col)) for col in right] for row in left
+        ]
+        if trial % 3 == 0:  # row scaling keeps the rank
+            product = [[Fraction(v, d) for v in row] for row, d in
+                       zip(product, [rng.randint(1, 6) for _ in product])]
+        assert exact_rank(product) == rank
+        assert exact_rank(rational(product)) == rank
+        transposed = [list(col) for col in zip(*product)]
+        assert exact_rank(transposed) == rank
+    assert bareiss, "some products must be rank-deficient after deduplication"
+
+
+def test_rank_matches_the_scalar_oracle_near_the_prime():
+    rng = random.Random(41)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        pool = (0, 1, -1, P, -P, 2 * P, P + 1, P - 1)
+        M = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        assert exact_rank(M) == scalar_rank(M)
+
+
+def _plain_values(matrix, kind):
+    return all(type(v) is kind for row in matrix.entries for v in row)
+
+
+def test_entries_hold_python_fractions_and_ints():
+    c = cone_test_circuit(3, 12, widths=(2, 2))
+    pre = pre_sign_matrix(c, 3)
+    assert _plain_values(pre, Fraction)
+    assert _plain_values(sign_pattern(pre), int)
+    assert _plain_values(inner_product_matrix(3), int)
+    flat = cone_test_circuit(2, 4, widths=(3,))
+    _, _, mats = top_decomposition(flat, 2)
+    assert all(_plain_values(F, Fraction) for F in mats)
+    huge = RationalMatrix(((Fraction(10**30, 7), Fraction(1)),))
+    assert huge.num.dtype == object and _plain_values(huge, Fraction)
+    assert _plain_values(SignMatrix(((True, -1), (Fraction(1), 1))), int)
+
+
+def test_equality_and_hashing_follow_the_entries():
+    c = cone_test_circuit(3, 12, widths=(2, 2))
+    pre = pre_sign_matrix(c, 3)
+    copy = RationalMatrix(pre.entries)
+    assert copy == pre and hash(copy) == hash(pre) and copy.shape == pre.shape == (8, 8)
+    assert SignMatrix(sign_pattern(pre).entries) == sign_pattern(pre)
+    half = rational([[Fraction(1, 2), 1]])
+    assert half == RationalMatrix(((Fraction(2, 4), Fraction(3, 3)),))
+    assert half != rational([[Fraction(1, 2), 2]])
+    assert half != rational([[Fraction(1, 2)], [1]])
+    assert signs([[1, -1]]) != rational([[1, -1]])
+    assert rational([[1, -1]]).entries == signs([[1, -1]]).entries
+    assert RationalMatrix(((), ())).shape == (2, 0) and SignMatrix(()).shape == (0, 0)
+    assert len({half, RationalMatrix(((Fraction(1, 2), Fraction(1)),))}) == 1
 
 
 # ---------------------------------------------------------------------------
