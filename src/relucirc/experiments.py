@@ -8,6 +8,7 @@ from typing import Sequence
 
 from .circuit import (
     ArityError,
+    ContractError,
     InvariantViolationError,
     Rational,
     ResourceCapError,
@@ -50,7 +51,7 @@ def random_agreement_probe(
     if n > limit:
         raise ResourceCapError(f"arity {n} exceeds the agreement probe cap {limit}")
     if trials < 1:
-        raise InvariantViolationError("need at least one trial")
+        raise ContractError("need at least one trial")
     eps = exact(epsilon)
     n_points = 1 << n
     threshold = (Fraction(1, 2) + eps) * n_points

@@ -9,6 +9,7 @@ import pytest
 
 from relucirc import (
     Circuit,
+    ContractError,
     Gate,
     InvariantViolationError,
     ResourceCapError,
@@ -117,7 +118,7 @@ def test_probe_arity_cap():
 
 
 def test_probe_rejects_empty_runs():
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ContractError):
         random_agreement_probe(parity_table(3), Fraction(1, 4), 0, 0)
 
 
@@ -598,6 +599,7 @@ BAD_CIRCUIT_FILES = {
     ["signrank", "random", "--m", "-1"],
     ["signrank", "function", "--name", "inner-product", "--m", "-2"],
     ["random-approx", "--n", "-1", "--epsilon", "1/4"],
+    ["random-approx", "--n", "3", "--epsilon", "1/4", "--trials", "0"],
     ["restrict", "apply", "--circuit", "not-json", "--fix", "1=1"],
     ["restrict", "apply", "--circuit", "wrong-layer", "--fix", "1=1"],
     ["restrict", "apply", "--circuit", "out-of-range", "--fix", "1=1"],
