@@ -66,15 +66,20 @@ class AndreevInput:
         return cls(n, x, rows)
 
 
-def andreev(inp: AndreevInput) -> int:
-    """Row parities of the matrix, read most-significant-first, index x."""
+def row_parity_index(rows: Sequence[Sequence[int]]) -> int:
+    """The parities of the 0/1 rows, read as bits, first row most significant."""
     index = 0
-    for row in inp.rows:
+    for row in rows:
         parity = 0
         for bit in row:
             parity ^= bit
         index = (index << 1) | parity
-    return inp.x[index]
+    return index
+
+
+def andreev(inp: AndreevInput) -> int:
+    """Row parities of the matrix, read most-significant-first, index x."""
+    return inp.x[row_parity_index(inp.rows)]
 
 
 def omb(x: Sequence[int]) -> int:

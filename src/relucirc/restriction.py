@@ -24,7 +24,7 @@ from .circuit import (
     GateKind,
     affine,
 )
-from .hardfuncs import AndreevInput, andreev, andreev_layout, andreev_input_size
+from .hardfuncs import AndreevInput, andreev_layout, row_parity_index
 from .serialize import gate_wire
 
 
@@ -270,15 +270,10 @@ def andreev_restricted_table(rho: Restriction, n: int) -> tuple[int, ...]:
         point = rho.fill(free_vals)
         bits = [sign_to_bit(s) for s in point]
         inp = AndreevInput.from_bits(n, bits)
-        index = 0
-        for row in inp.rows:
-            parity = 0
-            for b in row:
-                parity ^= b
-            index = (index << 1) | parity
+        index = row_parity_index(inp.rows)
         if table[index] is not None:
             raise ContractError("row-parity indexing collided; restriction malformed")
-        table[index] = andreev(inp)
+        table[index] = inp.x[index]
     return tuple(table)  # type: ignore[arg-type]
 
 
