@@ -178,7 +178,7 @@ class SignMatrix(_Matrix):
         rows = tuple(tuple(row) for row in entries)
         shape = _rectangular(rows)
         flat = [v for row in rows for v in row]
-        if not {1, -1}.issuperset(flat):
+        if not all(v in (1, -1) for v in flat):
             raise ArityError("sign matrix entries must be +-1")
         self._set(np.array(flat, dtype=np.int64).reshape(shape), 1)
 

@@ -653,6 +653,8 @@ def test_sign_matrix_rejects_zeros_and_ragged_rows():
     with pytest.raises(ArityError):
         SignMatrix(((1, 0), (1, 1)))
     with pytest.raises(ArityError):
+        SignMatrix(((1, [1]), (1, 1)))
+    with pytest.raises(ArityError):
         SignMatrix(((1, 1), (1,)))
 
 
