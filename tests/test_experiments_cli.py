@@ -16,6 +16,8 @@ from relucirc import (
     Restriction,
     TruthTable,
     affine,
+    andreev_input_size,
+    andreev_layout,
     apply_restriction,
     dump_circuit,
     dump_pwl,
@@ -25,13 +27,14 @@ from relucirc import (
     parity_table,
     pwl_sum,
     random_agreement_probe,
+    sample_andreev_restriction,
     survival_csv,
     survival_report,
     truth_table,
 )
 from relucirc.circuit import vertex
 from relucirc.cli import main
-from relucirc.restriction import SurvivalRow, WeightDistribution
+from relucirc.restriction import SurvivalRow, WeightDistribution, random_ltf_of_relu
 from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_hex
 
 REPORT_KEYS = {
@@ -287,6 +290,21 @@ def test_cli_restrict_apply_missing_file(tmp_path):
     assert run_cli(["restrict", "apply", "--circuit", missing, "--fix", "1=1"]) == 2
 
 
+def _andreev_fix(n, seed):
+    """--fix text of sample_andreev_restriction(n, x_star, seed), x_star seeded too."""
+    half, _, _ = andreev_layout(n)
+    x_star = tuple(random.Random(seed).randint(0, 1) for _ in range(half))
+    rho = sample_andreev_restriction(n, x_star, seed)
+    return ",".join(f"{i}={v:+d}" for i, v in sorted(rho.fixed.items()))
+
+
+def test_golden_restrict_input_is_rebuilt_byte_for_byte(tmp_path):
+    circuit = random_ltf_of_relu(andreev_input_size(64), 16, 4, random.Random(1))
+    dump_circuit(circuit, str(tmp_path / "c.json"))
+    want = (GOLDEN / "input_restrict_ltf-of-relu-n64.json").read_bytes()
+    assert (tmp_path / "c.json").read_bytes() == want
+
+
 RESTRICT_GOLDEN = [
     # depth 2: a zero gate, and linearized gates rerouted into the skip wires
     ("depth2", "1=1,4=-1"),
@@ -295,6 +313,9 @@ RESTRICT_GOLDEN = [
     # depth 3 and 4: the whole bottom layer is forced to zero
     ("depth3-vanishing", "1=1,2=-1"),
     ("depth4-vanishing", "1=1,2=-1"),
+    # the benchmark's shape: a random LTF of 16 ReLUs with weights in [-4, 4]
+    # under a selector restriction at n = 64
+    ("ltf-of-relu-n64", _andreev_fix(64, seed=1)),
 ]
 
 
@@ -307,6 +328,22 @@ def test_cli_restrict_apply_bytes_match_golden(capsys, monkeypatch, name, fix):
     argv = ["restrict", "apply", "--circuit", f"input_restrict_{name}.json", "--fix", fix]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"restrict-apply_{name}.json").read_text()
+
+
+SURVIVAL_GOLDEN = [
+    ("restrict-survival_n16,64_gates8_trials50_seed3.json", []),
+    ("restrict-survival_n16,64_gates8_trials50_seed3.csv", ["--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("golden, args", SURVIVAL_GOLDEN)
+def test_cli_restrict_survival_bytes_match_golden(capsys, golden, args):
+    argv = [
+        "restrict", "survival", "--n-list", "16,64", "--gates", "8",
+        "--trials", "50", "--seed", "3", *args,
+    ]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_cli_restrict_survival_json(capsys):
