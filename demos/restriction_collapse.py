@@ -22,7 +22,7 @@ from relucirc import (
     survival_experiment,
 )
 from relucirc.circuit import vertex
-from relucirc.restriction import WeightDistribution, random_ltf_of_relu
+from relucirc.restriction import random_ltf_of_relu
 
 # --- watch a single circuit collapse ----------------------------------------
 rng = random.Random(7)
@@ -63,7 +63,7 @@ assert restricted_table == x_star
 # spreads out as sqrt(n) while the free weight mass stays put, so the odds a
 # bottom gate stays nonlinear shrink.
 rows = survival_experiment(
-    [64, 256, 1024], gate_count=32, dist=WeightDistribution(bound=4),
+    [64, 256, 1024], gate_count=32, bound=4,
     trials=400, seed=9,
 )
 print("\nbottom-gate survival under selector-style restrictions:")

@@ -79,12 +79,10 @@ from .restriction import (
     Removability,
     Restriction,
     SurvivalRow,
-    WeightDistribution,
     andreev_restricted_table,
     apply_restriction,
     bit_to_sign,
-    classify_folded,
-    fold,
+    collapse_rule,
     random_ltf_of_relu,
     removability,
     sample_andreev_restriction,

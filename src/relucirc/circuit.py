@@ -110,9 +110,6 @@ class AffineForm:
             total += w * values[pos]
         return total
 
-    def weight_sum_abs(self) -> Fraction:
-        return sum((abs(w) for w in self.weights.values()), Fraction(0))
-
     def is_constant(self) -> bool:
         return not self.weights
 

@@ -40,7 +40,6 @@ from .hardfuncs import ComposedParams, composed_function
 from .pwl import first_grid_mismatch, refute_max0xy
 from .restriction import (
     Restriction,
-    WeightDistribution,
     apply_restriction,
     random_ltf_of_relu,
     survival_experiment,
@@ -200,8 +199,7 @@ def cmd_restrict(args) -> int:
         }
         _emit(args, payload)
         return 0
-    dist = WeightDistribution(bound=args.weight_bound)
-    rows = survival_experiment(args.n_list, args.gates, dist, args.trials, args.seed)
+    rows = survival_experiment(args.n_list, args.gates, args.weight_bound, args.trials, args.seed)
     payload = {
         "command": "restrict",
         "config": {
@@ -212,7 +210,7 @@ def cmd_restrict(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         },
-        **survival_report(rows, dist),
+        **survival_report(rows, args.weight_bound),
     }
     _emit(args, payload, csv_text=survival_csv(rows))
     return 0
@@ -223,6 +221,7 @@ def cmd_restrict(args) -> int:
 
 def cmd_signrank(args) -> int:
     if args.mode == "random":
+        _require(args.m is not None, "signrank random needs --m")
         rng = random.Random(args.seed)
         circuit = random_cone_circuit(args.m, args.widths, args.weight_bound, rng)
         sigma = VertexOrdering.standard(args.m)

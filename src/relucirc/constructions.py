@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .circuit import (
     AffineForm,
     ArityError,
@@ -26,6 +24,7 @@ from .circuit import (
     TruthTable,
     _CACHE_BITS,
     _cube_slab,
+    _forward_slab,
     _slab_indices,
     affine,
     enumeration_cap,
@@ -144,20 +143,19 @@ def linear_as_2relu(form: AffineForm, input_count: int) -> Circuit:
     return Circuit(input_count, (gates,), Gate(GateKind.SUM, out))
 
 
-def _closest_negative_on_cube(form: AffineForm, n: int) -> tuple[int | None, int]:
-    """(max strictly-negative scaled value, scale) of an input form on the cube."""
-    row_ints, bias_int, scale, abs_sum = form._integer_row(n)
-    big = abs_sum + abs(bias_int) >= (1 << 62)
-    dtype = object if big else np.int64
-    row = np.array(row_ints, dtype=dtype)
+def _closest_negative_on_cube(threshold: Circuit) -> tuple[int | None, int]:
+    """(max strictly-negative scaled pre-activation, scale) of a circuit with
+    no hidden layers, over the cube."""
+    n = threshold.input_count
     best: int | None = None
     for start, stop in _slab_indices(n):
-        vals = row.dot(_cube_slab(n, start, stop).astype(dtype)) + bias_int
+        fwd = _forward_slab(threshold, _cube_slab(n, start, stop))
+        vals = fwd.output_pre_num
         neg = vals[vals < 0]
         if neg.size:
             top = int(neg.max())
             best = top if best is None else max(best, top)
-    return best, scale
+    return best, fwd.output_pre_den
 
 
 def ltf_to_relu(gate: Gate, input_count: int, cap: int | None = None) -> Circuit:
@@ -172,8 +170,8 @@ def ltf_to_relu(gate: Gate, input_count: int, cap: int | None = None) -> Circuit
     n = input_count
     if n > enumeration_cap(cap):
         raise ResourceCapError(f"arity {n} exceeds enumeration cap")
-    Circuit(n, (), gate)  # the gate must read positions of the n inputs
-    closest, scale = _closest_negative_on_cube(gate.form, n)
+    # building the circuit checks the gate reads positions of the n inputs
+    closest, scale = _closest_negative_on_cube(Circuit(n, (), gate))
     if closest is None:
         return Circuit(
             n, (), Gate(GateKind.SUM, AffineForm({}, Fraction(1)))

@@ -15,7 +15,7 @@ from .circuit import (
     TruthTable,
     exact,
 )
-from .restriction import SurvivalRow, WeightDistribution
+from .restriction import SurvivalRow
 
 AGREEMENT_ARITY_CAP = 16
 
@@ -86,9 +86,9 @@ def random_agreement_probe(
     }
 
 
-def survival_report(rows: Sequence[SurvivalRow], dist: WeightDistribution) -> dict:
+def survival_report(rows: Sequence[SurvivalRow], bound: int) -> dict:
     return {
-        "weightDist": {"name": dist.name, "bound": dist.bound},
+        "weightDist": {"name": "uniform_int", "bound": bound},
         "rows": [
             {
                 "n": r.n,

@@ -4,6 +4,10 @@ A restriction pins some +-1 coordinates.  Folding it into a bottom-layer form
 gives interval bounds L = b' - sum|w'| and U = b' + sum|w'| over the free
 cube (indeed over its whole convex hull): U <= 0 forces the ReLU to zero,
 L >= 0 makes it linear, otherwise the gate survives as a genuine nonlinearity.
+
+`collapse_rule` writes this rule once, on integer rows (forms scaled by a
+positive denominator, which keeps every sign) in exact int64 or Python-int
+arithmetic; `removability`, `apply_restriction` and the survival sweep call it.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import (
+    _INT64_SAFE,
     AffineForm,
     ArityError,
     Circuit,
@@ -60,37 +65,49 @@ class Removability(Enum):
     SURVIVES = "SURVIVES"
 
 
-def fold(form: AffineForm, rho: Restriction) -> AffineForm:
-    """Substitute the fixed coordinates into a form over the inputs.
+def collapse_rule(rows, biases, fixed, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a restriction into integer forms and classify them, exactly.
 
-    The free weights keep their positions; `apply_restriction` renumbers them.
+    ``rows`` is a (gates, n) int64 or object array and ``biases`` its biases;
+    ``signs`` gives the +-1 values where the boolean mask ``fixed`` is set.
+    Returns the folded biases b' and the masks b' + mass <= 0 (forced to zero)
+    and b' - mass >= 0 (linear), mass being the free weights' sum |w|; other
+    gates survive.  Sums run in int64 when (n + 1) max|entry|, which bounds
+    sum |row| + |bias|, stays below 2^62, and on Python ints otherwise.
     """
-    weights = {}
-    bias = form.bias
-    for pos, w in form.weights.items():
-        if not 0 <= pos < rho.arity:
-            raise ArityError(
-                f"form reads input {pos + 1} beyond restriction arity {rho.arity}"
-            )
-        val = rho.fixed.get(pos + 1)
-        if val is None:
-            weights[pos] = w
-        else:
-            bias += w * val
-    return AffineForm(weights, bias)
+    biases = np.asarray(biases, dtype=rows.dtype)
+    top = max(int(np.abs(rows).max(initial=0)), int(np.abs(biases).max(initial=0)))
+    dtype = np.int64 if top * (rows.shape[1] + 1) < _INT64_SAFE else object
+    rows = rows.astype(dtype, copy=False)
+    # zeros off the mask: one product, no copy of the fixed columns
+    folded = biases.astype(dtype, copy=False) + rows @ np.where(fixed, signs, 0).astype(dtype)
+    mass = np.abs(rows[:, ~fixed]).sum(axis=1)
+    return folded, folded + mass <= 0, folded - mass >= 0
 
 
-def classify_folded(folded: AffineForm) -> Removability:
-    span = folded.weight_sum_abs()
-    if folded.bias + span <= 0:
-        return Removability.CONSTANT_ZERO
-    if folded.bias - span >= 0:
-        return Removability.LINEARIZED
-    return Removability.SURVIVES
+def _fixed_signs(rho: Restriction) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed-coordinate mask, +-1 values with 0 on free coordinates)."""
+    signs = np.zeros(rho.arity, dtype=np.int64)
+    for coord, val in rho.fixed.items():
+        signs[coord - 1] = val
+    return signs != 0, signs
+
+
+def _classes(zero: np.ndarray, linear: np.ndarray) -> list[Removability]:
+    return [
+        Removability.CONSTANT_ZERO if z
+        else Removability.LINEARIZED if lin
+        else Removability.SURVIVES
+        for z, lin in zip(zero.tolist(), linear.tolist())
+    ]
 
 
 def removability(form: AffineForm, rho: Restriction) -> Removability:
-    return classify_folded(fold(form, rho))
+    if any(not 0 <= pos < rho.arity for pos in form.weights):
+        raise ArityError(f"form reads an input beyond restriction arity {rho.arity}")
+    row, bias, _, _ = form._integer_row(rho.arity)
+    _, zero, linear = collapse_rule(np.array([row], dtype=object), [bias], *_fixed_signs(rho))
+    return _classes(zero, linear)[0]
 
 
 @dataclass(frozen=True)
@@ -103,8 +120,11 @@ class CollapseReport:
     restricted: Circuit
 
 
-def _renamed(form: AffineForm, new_index: Mapping[int, int]) -> AffineForm:
-    return AffineForm({new_index[p]: c for p, c in form.weights.items()}, form.bias)
+def _free_part(form: AffineForm, bias: Fraction, new_index: Mapping[int, int]) -> AffineForm:
+    """The form's weights on the free inputs, renumbered, over a new bias."""
+    return AffineForm(
+        {new_index[p]: c for p, c in form.weights.items() if p in new_index}, bias
+    )
 
 
 def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
@@ -130,73 +150,71 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     free = rho.free()
     new_index = {orig - 1: pos for pos, orig in enumerate(free)}
 
-    folded = [fold(g.form, rho) for g in bottom]
-    classes = [classify_folded(f) for f in folded]
+    # the bottom layer and the skip wires fold through the one integer rule;
+    # kept forms retain their Fraction weights over the folded bias
+    low = circuit._lowered
+    layers, _, (skip_row, skip_bias, skip_scale) = low.arrays(low.use_object)
+    rows, biases, scale = layers[0][:3]
+    fixed, signs = _fixed_signs(rho)
+    folded_b, zero, lin = collapse_rule(rows, biases, fixed, signs)
+    classes = _classes(zero, lin)
+    folded = [
+        None if c is Removability.CONSTANT_ZERO
+        else _free_part(g.form, Fraction(b, scale), new_index)
+        for g, b, c in zip(bottom, folded_b.tolist(), classes)
+    ]
     ids = [gate_wire(1, j + 1) for j in range(len(bottom))]
-    removed = tuple(i for i, c in zip(ids, classes) if c is Removability.CONSTANT_ZERO)
-    linear = tuple(i for i, c in zip(ids, classes) if c is Removability.LINEARIZED)
-    alive = tuple(i for i, c in zip(ids, classes) if c is Removability.SURVIVES)
-
-    skip_w: dict[int, Fraction] = {}
-    skip_b = Fraction(0)
-    if circuit.skip_wires is not None:
-        folded_skip = _renamed(fold(circuit.skip_wires, rho), new_index)
-        skip_w.update(folded_skip.weights)
-        skip_b = folded_skip.bias
+    removed, linear, alive = (
+        tuple(i for i, c in zip(ids, classes) if c is kind) for kind in Removability
+    )
+    (skip_num,), _, _ = collapse_rule(skip_row[None, :], [skip_bias], fixed, signs)
+    skip = _free_part(
+        circuit.skip_wires or AffineForm({}), Fraction(int(skip_num), skip_scale), new_index
+    )
+    skip_w, skip_b = dict(skip.weights), skip.bias
 
     if len(circuit.layers) == 1:
         out_form = circuit.output_gate.form
         new_gates = []
         new_out_w: dict[int, Fraction] = {}
-        out_b = out_form.bias
         for j, (form, cls) in enumerate(zip(folded, classes)):
             alpha = out_form.weights.get(j, Fraction(0))
             if cls is Removability.SURVIVES:
                 if alpha:
                     new_out_w[len(new_gates)] = alpha
-                new_gates.append(Gate(GateKind.RELU, _renamed(form, new_index)))
+                new_gates.append(Gate(GateKind.RELU, form))
             elif cls is Removability.LINEARIZED and alpha:
-                renamed = _renamed(form, new_index)
-                for p, c in renamed.weights.items():
+                for p, c in form.weights.items():
                     skip_w[p] = skip_w.get(p, Fraction(0)) + alpha * c
-                skip_b += alpha * renamed.bias
-        skip = AffineForm(
-            {w: c for w, c in skip_w.items() if c}, skip_b
+                skip_b += alpha * form.bias
+        new_layers = (tuple(new_gates),) if new_gates else ()
+        output_gate = Gate(circuit.output_gate.kind, AffineForm(new_out_w, out_form.bias))
+    else:
+        # deeper circuits: rewrite the bottom layer in place, renumber its gates
+        new_bottom = []
+        pos_of: dict[int, int] = {}
+        for j, (form, cls) in enumerate(zip(folded, classes)):
+            if cls is Removability.CONSTANT_ZERO:
+                continue
+            kind = GateKind.RELU if cls is Removability.SURVIVES else GateKind.SUM
+            pos_of[j] = len(new_bottom)
+            new_bottom.append(Gate(kind, form))
+        second = tuple(
+            Gate(g.kind, AffineForm(
+                {pos_of[p]: c for p, c in g.form.weights.items() if p in pos_of},
+                g.form.bias,
+            ))
+            for g in circuit.layers[1]
         )
-        restricted = Circuit(
-            input_count=len(free),
-            layers=(tuple(new_gates),) if new_gates else (),
-            output_gate=Gate(
-                circuit.output_gate.kind, AffineForm(new_out_w, out_b)
-            ),
-            skip_wires=None if not skip.weights and skip.bias == 0 else skip,
-        )
-        return CollapseReport(removed, linear, alive, restricted)
-
-    # deeper circuits: rewrite the bottom layer in place, renumber its gates
-    new_bottom = []
-    pos_of: dict[int, int] = {}
-    for j, (form, cls) in enumerate(zip(folded, classes)):
-        if cls is Removability.CONSTANT_ZERO:
-            continue
-        kind = GateKind.RELU if cls is Removability.SURVIVES else GateKind.SUM
-        pos_of[j] = len(new_bottom)
-        new_bottom.append(Gate(kind, _renamed(form, new_index)))
-    second = tuple(
-        Gate(g.kind, AffineForm(
-            {pos_of[p]: c for p, c in g.form.weights.items() if p in pos_of},
-            g.form.bias,
-        ))
-        for g in circuit.layers[1]
-    )
-    # a vanished bottom layer leaves the second layer reading nothing, as the
-    # new bottom layer
-    new_layers = ((tuple(new_bottom),) if new_bottom else ()) + (second,) + circuit.layers[2:]
+        # a vanished bottom layer leaves the second layer reading nothing, as
+        # the new bottom layer
+        new_layers = ((tuple(new_bottom),) if new_bottom else ()) + (second,) + circuit.layers[2:]
+        output_gate = circuit.output_gate
     skip = AffineForm({w: c for w, c in skip_w.items() if c}, skip_b)
     restricted = Circuit(
         input_count=len(free),
         layers=new_layers,
-        output_gate=circuit.output_gate,
+        output_gate=output_gate,
         skip_wires=None if not skip.weights and skip.bias == 0 else skip,
     )
     return CollapseReport(removed, linear, alive, restricted)
@@ -280,20 +298,6 @@ def andreev_restricted_table(rho: Restriction, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # survival statistics
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Independent integer weights, uniform on [-bound, bound]."""
-
-    bound: int
-    name: str = "uniform_int"
-
-    def __post_init__(self):
-        if self.name != "uniform_int":
-            raise ArityError(f"unknown weight distribution {self.name!r}")
-        if self.bound < 1:
-            raise ArityError("weight bound must be >= 1")
-
-
 def random_ltf_of_relu(
     n: int, gate_count: int, bound: int, rng: random.Random
 ) -> Circuit:
@@ -336,26 +340,28 @@ class SurvivalRow:
 def survival_experiment(
     n_list: Sequence[int],
     gate_count: int,
-    dist: WeightDistribution,
+    bound: int,
     trials: int,
     seed: int,
 ) -> list[SurvivalRow]:
     """Fraction of bottom ReLUs surviving a random selector-style restriction.
 
     Each trial draws a fresh hidden layer of `gate_count` forms with weights
-    and biases from `dist`, restricts all but one matrix-row coordinate per
-    row (everything else uniform +-1), and counts gates with |b'| strictly
-    below the free weight mass.  Larger n leaves fewer free coordinates
-    relative to the folded bias spread, so the fraction falls.
+    and biases uniform on the integers in [-bound, bound], restricts all but
+    one matrix-row coordinate per row (everything else uniform +-1), and
+    counts the gates `collapse_rule` leaves surviving, those with |b'|
+    strictly below the free weight mass.  Larger n leaves fewer free
+    coordinates relative to the folded bias spread, so the fraction falls.
     """
     if trials < 2:
         raise ArityError("need at least 2 trials for a confidence interval")
     if gate_count < 1 or seed < 0:
         raise ContractError("need at least one gate and a nonnegative seed")
+    if not 1 <= bound <= np.iinfo(np.int64).max:
+        raise ContractError("weight bound must be in 1..2^63-1, the int64 range drawn from")
     for n in n_list:
         andreev_layout(n)  # rejects n < 4 before any sampling
     rows_out = []
-    bound = dist.bound
     for n in n_list:
         fracs = np.empty(trials, dtype=float)
         for t in range(trials):
@@ -364,9 +370,8 @@ def survival_experiment(
             w = rng.integers(-bound, bound + 1, size=(gate_count, n))
             b = rng.integers(-bound, bound + 1, size=gate_count)
             signs = rng.integers(0, 2, size=n) * 2 - 1
-            folded_bias = b + w[:, ~free] @ signs[~free]
-            free_mass = np.abs(w[:, free]).sum(axis=1)
-            fracs[t] = float(np.mean(np.abs(folded_bias) < free_mass))
+            _, zero, linear = collapse_rule(w, b, ~free, signs)
+            fracs[t] = float(np.mean(~(zero | linear)))
         mean = float(fracs.mean())
         half_width = 1.96 * float(fracs.std(ddof=1)) / float(np.sqrt(trials))
         rows_out.append(

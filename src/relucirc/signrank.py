@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import (
+    _INT64_SAFE,
     AffineForm,
     ArityError,
     Circuit,
@@ -42,8 +43,6 @@ from .circuit import (
 )
 from .serialize import gate_wire
 
-_INT64_LIMIT = 1 << 62
-
 
 def _cube_dots(m: int, r: Sequence[int | Fraction]) -> np.ndarray:
     """<r, x> for every vertex x of the m-cube, by vertex index, scaled by
@@ -51,7 +50,7 @@ def _cube_dots(m: int, r: Sequence[int | Fraction]) -> np.ndarray:
     q = [Fraction(v) for v in r]
     scale = math.lcm(*(v.denominator for v in q))
     ints = [v.numerator * (scale // v.denominator) for v in q]
-    dtype = np.int64 if sum(map(abs, ints)) < _INT64_LIMIT else object
+    dtype = np.int64 if sum(map(abs, ints)) < _INT64_SAFE else object
     return np.array(ints, dtype=dtype) @ cube_matrix(m, dtype=dtype)
 
 
@@ -95,12 +94,12 @@ def _rectangular(rows: tuple[tuple, ...]) -> tuple[int, int]:
 
 def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     """(num, den) divided by their gcd; int64 numerators when all fit."""
-    if num.dtype != object and ((num >= _INT64_LIMIT) | (num <= -_INT64_LIMIT)).any():
+    if num.dtype != object and ((num >= _INT64_SAFE) | (num <= -_INT64_SAFE)).any():
         num = num.astype(object)
     g = math.gcd(den, int(np.gcd.reduce(num, axis=None))) if num.size else den
     if g > 1:
         num, den = num // g, den // g
-    if num.dtype == object and (num.size == 0 or np.abs(num).max() < _INT64_LIMIT):
+    if num.dtype == object and (num.size == 0 or np.abs(num).max() < _INT64_SAFE):
         num = num.astype(np.int64)
     return num, den
 

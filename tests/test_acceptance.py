@@ -49,7 +49,7 @@ from relucirc import (
     walsh_hadamard,
 )
 from relucirc.circuit import cube_matrix, vertex
-from relucirc.restriction import Removability, WeightDistribution
+from relucirc.restriction import Removability
 
 from conftest import random_circuit
 
@@ -313,7 +313,7 @@ def test_10_agreement_tail(announce):
 def test_11_survival_trend(announce):
     def body():
         rows = survival_experiment(
-            [64, 1024], 32, WeightDistribution(bound=4), 1000, seed=5
+            [64, 1024], 32, 4, 1000, seed=5
         )
         low, high = rows
         assert low.n == 64 and high.n == 1024

@@ -34,7 +34,7 @@ from relucirc import (
 )
 from relucirc.circuit import vertex
 from relucirc.cli import main
-from relucirc.restriction import SurvivalRow, WeightDistribution, random_ltf_of_relu
+from relucirc.restriction import SurvivalRow, random_ltf_of_relu
 from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_hex
 
 REPORT_KEYS = {
@@ -144,7 +144,7 @@ def test_survival_csv_layout():
 
 
 def test_survival_report_shape():
-    doc = survival_report(FAKE_ROWS, WeightDistribution(bound=2))
+    doc = survival_report(FAKE_ROWS, 2)
     assert doc["weightDist"] == {"name": "uniform_int", "bound": 2}
     assert [r["n"] for r in doc["rows"]] == [8, 16]
     assert set(doc["rows"][0]) == {
@@ -649,6 +649,10 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "survival", "--n-list", "-1"],
     ["restrict", "survival", "--n-list", "8", "--gates", "0"],
     ["restrict", "survival", "--n-list", "8", "--seed", "-1"],
+    ["restrict", "survival", "--n-list", "8", "--weight-bound", "0"],
+    ["restrict", "survival", "--n-list", "8", "--weight-bound", "9223372036854775808"],
+    ["restrict", "survival", "--n-list", "8", "--weight-bound", "18446744073709551616"],
+    ["signrank", "random"],
     ["construct", "linear", "--weights", "1,2", "--bias", "1/0"],
 ], ids=" ".join)
 def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):

@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relucirc import (
+    AffineForm,
     AndreevInput,
     ArityError,
     Circuit,
@@ -14,7 +16,6 @@ from relucirc import (
     GateKind,
     Removability,
     Restriction,
-    WeightDistribution,
     affine,
     andreev,
     andreev_layout,
@@ -22,14 +23,13 @@ from relucirc import (
     apply_restriction,
     bit_to_sign,
     evaluate,
-    fold,
     removability,
     sample_andreev_restriction,
     sign_to_bit,
     survival_experiment,
     vertex,
 )
-from relucirc.restriction import random_ltf_of_relu
+from relucirc.restriction import _selector_style_masks, random_ltf_of_relu
 
 from conftest import scalar_evaluate
 
@@ -55,28 +55,6 @@ def brute_classification(form, rho):
     if min(values) >= 0:
         return Removability.LINEARIZED
     return Removability.SURVIVES
-
-
-# ---------------------------------------------------------------------------
-# fold
-
-def test_fold_absorbs_fixed_coordinates():
-    f = form_of((1, 2, 3), 0)
-    folded = fold(f, Restriction(3, {2: -1}))
-    assert folded.weights == {0: 1, 2: 3}
-    assert folded.bias == -2
-
-
-def test_fold_everything_leaves_a_constant():
-    f = form_of((1, 2), 5)
-    folded = fold(f, Restriction(2, {1: 1, 2: -1}))
-    assert folded.weights == {}
-    assert folded.bias == 4
-
-
-def test_fold_with_nothing_fixed_is_identity():
-    f = form_of((1, -2), Fraction(1, 3))
-    assert fold(f, Restriction(2, {})) == f
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +176,46 @@ def test_deeper_layers_fold_but_only_the_bottom_collapses(rng):
         assert slice_matches(c, rho, apply_restriction(c, rho))
 
 
+@pytest.mark.parametrize("weights, bias, fixed, want_weights, want_bias", [
+    # fixed coordinates fold into the bias; free ones keep their weights
+    ((1, 2, 3), 0, {2: -1}, {0: 1, 1: 3}, -2),
+    # fixing everything leaves a constant
+    ((1, 2), 5, {1: 1, 2: -1}, {}, 4),
+    # with nothing fixed the form is unchanged
+    ((1, -2), Fraction(1, 3), {}, {0: 1, 1: -2}, Fraction(1, 3)),
+])
+def test_kept_bottom_gates_carry_their_folded_forms(
+    weights, bias, fixed, want_weights, want_bias
+):
+    # in a depth-3 circuit every gate not forced to zero stays in place
+    n = len(weights)
+    bottom = (Gate(GateKind.RELU, form_of(weights, bias)),)
+    second = (Gate(GateKind.RELU, affine({0: 1})),)
+    c = Circuit(n, (bottom, second), Gate(GateKind.SUM, affine({0: 1})))
+    (gate,) = apply_restriction(c, Restriction(n, fixed)).restricted.layers[0]
+    assert gate.form == AffineForm(want_weights, want_bias)
+
+
+def test_weights_past_int64_collapse_exactly():
+    big = 1 << 70
+    gates = (
+        Gate(GateKind.RELU, form_of((big, big + 1, -big), -1)),
+        Gate(GateKind.RELU, form_of((1, -big, big), big)),
+        Gate(GateKind.RELU, form_of((big, 1, 1), -big)),
+    )
+    c = Circuit(3, (gates,), Gate(GateKind.SUM, affine({0: 1, 1: -1, 2: 3})))
+    for fixed in ({1: 1}, {1: -1, 2: 1}, {3: -1}, {1: 1, 2: 1, 3: 1}):
+        rho = Restriction(3, fixed)
+        report = apply_restriction(c, rho)
+        assert slice_matches(c, rho, report)
+        got = dict.fromkeys(report.removed_as_zero, Removability.CONSTANT_ZERO)
+        got.update(dict.fromkeys(report.linearized, Removability.LINEARIZED))
+        got.update(dict.fromkeys(report.survivors, Removability.SURVIVES))
+        for j, g in enumerate(gates):
+            assert got[f"g1.{j + 1}"] is brute_classification(g.form, rho)
+            assert removability(g.form, rho) is got[f"g1.{j + 1}"]
+
+
 def test_fixing_everything_yields_an_input_free_circuit():
     rng = random.Random(3)
     c = random_ltf_of_relu(4, 3, 2, rng)
@@ -289,8 +307,7 @@ def test_always_dead_gate_is_removed_under_every_restriction():
 
 
 def test_survival_rows_are_sane_and_seeded():
-    dist = WeightDistribution(bound=3)
-    rows = survival_experiment([16], gate_count=8, dist=dist, trials=200, seed=7)
+    rows = survival_experiment([16], gate_count=8, bound=3, trials=200, seed=7)
     (row,) = rows
     assert row.n == 16 and row.gate_count == 8 and row.bound == 3
     assert row.trials == 200 and row.seed == 7
@@ -299,14 +316,26 @@ def test_survival_rows_are_sane_and_seeded():
 
 
 def test_survival_experiment_is_deterministic():
-    dist = WeightDistribution(bound=2)
-    a = survival_experiment([8, 16], 6, dist, trials=100, seed=42)
-    b = survival_experiment([8, 16], 6, dist, trials=100, seed=42)
+    a = survival_experiment([8, 16], 6, 2, trials=100, seed=42)
+    b = survival_experiment([8, 16], 6, 2, trials=100, seed=42)
     assert a == b
 
 
-def test_weight_distribution_validates():
-    with pytest.raises(ArityError):
-        WeightDistribution(bound=0)
-    with pytest.raises(ArityError):
-        WeightDistribution(bound=2, name="gaussian")
+def test_survival_is_exact_past_int64():
+    # (n + 1) W >= 2^62, so folded biases would wrap in int64
+    n, gates, trials, bound = 1024, 32, 20, 1 << 61
+    (row,) = survival_experiment([n], gates, bound, trials, seed=0)
+    fracs = []
+    for t in range(trials):
+        rng = np.random.default_rng([0, n, t])
+        free = _selector_style_masks(n, rng).tolist()
+        w = rng.integers(-bound, bound + 1, size=(gates, n)).tolist()
+        b = rng.integers(-bound, bound + 1, size=gates).tolist()
+        signs = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
+        alive = 0
+        for row_w, bias in zip(w, b):
+            folded = bias + sum(c * x for c, x, f in zip(row_w, signs, free) if not f)
+            mass = sum(abs(c) for c, f in zip(row_w, free) if f)
+            alive += abs(folded) < mass
+        fracs.append(alive / gates)
+    assert row.mean_survival == float(np.mean(fracs))
