@@ -316,6 +316,9 @@ RESTRICT_GOLDEN = [
     # the benchmark's shape: a random LTF of 16 ReLUs with weights in [-4, 4]
     # under a selector restriction at n = 64
     ("ltf-of-relu-n64", _andreev_fix(64, seed=1)),
+    # depth 3 written by hand: weights and biases repeat the non-canonical
+    # spellings Fraction accepts ("2/4", "-0/3", " 1/2", "0.5", "3", "0")
+    ("spellings", "2=1,5=-1"),
 ]
 
 
