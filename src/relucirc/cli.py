@@ -36,7 +36,7 @@ from .experiments import (
     survival_csv,
     survival_report,
 )
-from .hardfuncs import ComposedParams, composed_function
+from .hardfuncs import ComposedParams
 from .pwl import first_grid_mismatch, refute_max0xy
 from .restriction import (
     Restriction,
@@ -57,11 +57,11 @@ from .signrank import (
     SignMatrix,
     VertexOrdering,
     _verified_block_bound,
+    arkadev_nikhil_matrix,
     exact_rank,
     forster_lower_bound,
     inner_product_matrix,
     random_cone_circuit,
-    sign_matrix,
     sign_pattern,
     sign_rank_is_one,
 )
@@ -95,7 +95,10 @@ def _fix_map(text: str) -> dict[int, int]:
         sign = {"1": 1, "+1": 1, "-1": -1}.get(val.strip())
         if sign is None:
             raise ValueError(f"fix value for coordinate {coord!r} must be +1 or -1")
-        fixed[int(coord)] = sign
+        i = int(coord)
+        if i in fixed:
+            raise ValueError(f"coordinate {i} is fixed twice")
+        fixed[i] = sign
     return fixed
 
 
@@ -257,7 +260,7 @@ def cmd_signrank(args) -> int:
         )
         params = ComposedParams(args.blocks, args.block_width)
         m = params.side_bits
-        matrix = sign_matrix(composed_function(params), m, cap=_cap(args, m))
+        matrix = arkadev_nikhil_matrix(params, cap=_cap(args, m))
         config = {
             "mode": "function",
             "name": name,

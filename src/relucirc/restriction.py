@@ -357,6 +357,8 @@ def survival_experiment(
         raise ArityError("need at least 2 trials for a confidence interval")
     if gate_count < 1 or seed < 0:
         raise ContractError("need at least one gate and a nonnegative seed")
+    if not n_list:
+        raise ContractError("need at least one input length")
     if not 1 <= bound <= np.iinfo(np.int64).max:
         raise ContractError("weight bound must be in 1..2^63-1, the int64 range drawn from")
     for n in n_list:

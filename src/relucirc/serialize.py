@@ -77,7 +77,18 @@ def _form_to_json(form: AffineForm, ids: list[str]) -> dict[str, Any]:
     }
 
 
-def _form_from_json(doc: Any, index: dict[str, int], reader: str) -> AffineForm:
+def _rational(text: Any, parsed: dict[str, Fraction]) -> Fraction:
+    """`rational_from_str(text)`, parsing each distinct string of a document
+    once: ``parsed`` maps the strings already read to their values."""
+    q = parsed.get(text) if isinstance(text, str) else None
+    if q is None:
+        q = parsed[text] = rational_from_str(text)
+    return q
+
+
+def _form_from_json(
+    doc: Any, index: dict[str, int], reader: str, parsed: dict[str, Fraction]
+) -> AffineForm:
     """The form in ``doc``, whose weight keys must be wire ids in ``index``."""
     if not isinstance(doc, dict) or "weights" not in doc or "bias" not in doc:
         raise FormatError(f"{reader} needs 'weights' and 'bias'")
@@ -87,10 +98,10 @@ def _form_from_json(doc: Any, index: dict[str, int], reader: str) -> AffineForm:
     for wire, text in doc["weights"].items():
         if wire not in index:
             raise FormatError(f"{reader}: {wire!r} is not a wire of the layer it reads")
-        q = rational_from_str(text)
+        q = _rational(text, parsed)
         if q:
             weights[index[wire]] = q
-    return AffineForm(weights, rational_from_str(doc["bias"]))
+    return AffineForm(weights, _rational(doc["bias"], parsed))
 
 
 def _gate_to_json(gate: Gate, ids: list[str]) -> dict[str, Any]:
@@ -99,14 +110,16 @@ def _gate_to_json(gate: Gate, ids: list[str]) -> dict[str, Any]:
     return doc
 
 
-def _gate_from_json(doc: Any, index: dict[str, int], reader: str) -> Gate:
+def _gate_from_json(
+    doc: Any, index: dict[str, int], reader: str, parsed: dict[str, Fraction]
+) -> Gate:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{reader} needs a 'kind'")
     try:
         kind = GateKind(doc["kind"])
     except ValueError:
         raise FormatError(f"unknown gate kind {doc['kind']!r}") from None
-    return Gate(kind, _form_from_json(doc, index, reader))
+    return Gate(kind, _form_from_json(doc, index, reader, parsed))
 
 
 def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
@@ -141,12 +154,13 @@ def circuit_from_json(doc: Any) -> Circuit:
         raise FormatError("layers must be a list")
     inputs = {wire: i for i, wire in enumerate(_wire_ids(0, n))}
     index = inputs
+    parsed: dict[str, Fraction] = {}
     layers = []
     for k, layer in enumerate(doc["layers"], start=1):
         if not isinstance(layer, list) or not layer:
             raise FormatError(f"layer {k} must be a nonempty list of gates")
         layers.append(tuple(
-            _gate_from_json(g, index, gate_wire(k, j))
+            _gate_from_json(g, index, gate_wire(k, j), parsed)
             for j, g in enumerate(layer, start=1)
         ))
         index = {wire: j for j, wire in enumerate(_wire_ids(k, len(layer)))}
@@ -154,8 +168,10 @@ def circuit_from_json(doc: Any) -> Circuit:
     return Circuit(
         input_count=n,
         layers=tuple(layers),
-        output_gate=_gate_from_json(doc["outputGate"], index, "the output gate"),
-        skip_wires=None if skip is None else _form_from_json(skip, inputs, "the skip wires"),
+        output_gate=_gate_from_json(doc["outputGate"], index, "the output gate", parsed),
+        skip_wires=None
+        if skip is None
+        else _form_from_json(skip, inputs, "the skip wires", parsed),
     )
 
 

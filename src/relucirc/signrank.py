@@ -41,6 +41,7 @@ from .circuit import (
     matrix_cap,
     vertex,
 )
+from .hardfuncs import ComposedParams, arkadev_nikhil
 from .serialize import gate_wire
 
 
@@ -230,6 +231,24 @@ def inner_product_matrix(m: int, cap: int | None = None) -> SignMatrix:
     idx = np.arange(1 << m, dtype=np.int64)
     parity = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
     return SignMatrix._from_array(np.where(parity, -1, 1))
+
+
+def arkadev_nikhil_matrix(params: ComposedParams, cap: int | None = None) -> SignMatrix:
+    """`sign_matrix(composed_function(params), params.side_bits)`.
+
+    Block i's XORs are true exactly where the vertex indices of x and y
+    differ, so the value depends only on the XOR d of the two indices: it is
+    tabulated once per d, at x = vertex 0 and y = vertex d.
+    """
+    m = params.side_bits
+    if m > matrix_cap(cap):
+        raise ResourceCapError(f"m = {m} exceeds matrix cap")
+    ones = vertex(m, 0)
+    table = np.array(
+        [arkadev_nikhil(params, ones, vertex(m, d)) for d in range(1 << m)], dtype=np.int64
+    )
+    idx = np.arange(1 << m, dtype=np.int64)
+    return SignMatrix._from_array(table[np.bitwise_xor.outer(idx, idx)])
 
 
 def _reorder(

@@ -646,10 +646,12 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "apply", "--circuit", "weights-list", "--fix", "1=1"],
     ["refute-max", "--circuit", "weights-list"],
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=0"],
+    ["restrict", "apply", "--circuit", "parity", "--fix", "1=+1,1=-1"],
     ["signrank", "random", "--m", "2", "--weight-bound", "-1"],
     ["random-approx", "--n", "3", "--epsilon", "1/4", "--reference", "random-circuit",
      "--weight-bound", "-1"],
     ["restrict", "survival", "--n-list", "-1"],
+    ["restrict", "survival", "--n-list", ","],
     ["restrict", "survival", "--n-list", "8", "--gates", "0"],
     ["restrict", "survival", "--n-list", "8", "--seed", "-1"],
     ["restrict", "survival", "--n-list", "8", "--weight-bound", "0"],

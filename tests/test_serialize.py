@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucirc import (
+    AffineForm,
+    Circuit,
     FormatError,
+    Gate,
+    GateKind,
     TruthTable,
     circuit_from_json,
     circuit_to_json,
@@ -115,6 +119,108 @@ def test_zero_weights_are_dropped_on_load():
     }
     c = circuit_from_json(doc)
     assert c.output_gate.form.weights == {}
+
+
+# Spellings Fraction(str) accepts, several of them not in lowest terms.
+SPELLINGS = ["2/4", "-0/3", " 1/2", "0.5", "3", "0", "-3/1", "1_000/3", "-4"]
+
+
+def _pool_document(rng, n, widths):
+    """A circuit document whose every weight and bias is drawn from SPELLINGS."""
+    def form(ids):
+        return {
+            "weights": {w: rng.choice(SPELLINGS) for w in ids if rng.random() < 0.9},
+            "bias": rng.choice(SPELLINGS),
+        }
+
+    ids = [f"x{i}" for i in range(1, n + 1)]
+    layers = []
+    for k, width in enumerate(widths, start=1):
+        layers.append([{"kind": "RELU", **form(ids)} for _ in range(width)])
+        ids = [f"g{k}.{j}" for j in range(1, width + 1)]
+    return {
+        "inputCount": n,
+        "layers": layers,
+        "outputGate": {"kind": "LTF", **form(ids)},
+        "skipWires": form([f"x{i}" for i in range(1, n + 1)]),
+    }
+
+
+def _reference_circuit(doc):
+    """The circuit in a well-formed ``doc``, each string read by Fraction."""
+    def form(d):
+        weights = {}
+        for wire, text in d["weights"].items():
+            q = Fraction(text)
+            if q:
+                pos = wire[1:] if wire[0] == "x" else wire.split(".")[1]
+                weights[int(pos) - 1] = q
+        return AffineForm(weights, Fraction(d["bias"]))
+
+    return Circuit(
+        doc["inputCount"],
+        tuple(tuple(Gate(GateKind(g["kind"]), form(g)) for g in layer)
+              for layer in doc["layers"]),
+        Gate(GateKind(doc["outputGate"]["kind"]), form(doc["outputGate"])),
+        form(doc["skipWires"]),
+    )
+
+
+def test_repeated_spellings_parse_like_fraction(rng):
+    for _ in range(40):
+        doc = _pool_document(rng, rng.randint(1, 12), [rng.randint(1, 6)
+                                                       for _ in range(rng.randint(0, 3))])
+        assert circuit_from_json(doc) == _reference_circuit(doc)
+    # a spelling that repeats is read once: its forms share one Fraction
+    doc = _pool_document(rng, 30, [])
+    values = [q for q in circuit_from_json(doc).skip_wires.weights.values() if q == 3]
+    assert len(values) > 1 and all(q is values[0] for q in values)
+
+
+def _one_gate_document(first, second):
+    """Two ReLUs on x1 whose weights are ``first`` and ``second``."""
+    return {
+        "inputCount": 1,
+        "layers": [[
+            {"kind": "RELU", "weights": {"x1": first}, "bias": "1/2"},
+            {"kind": "RELU", "weights": {"x1": second}, "bias": "1/2"},
+        ]],
+        "outputGate": {"kind": "LTF", "weights": {"g1.1": "1/2"}, "bias": "1/2"},
+    }
+
+
+@pytest.mark.parametrize("value", [[1], 3, None, {"p": 1}])
+def test_non_string_after_a_parsed_spelling_is_a_format_error(value):
+    for doc in (
+        _one_gate_document("1/2", value),
+        {**_one_gate_document("1/2", "1/2"),
+         "skipWires": {"weights": {}, "bias": value}},
+    ):
+        with pytest.raises(FormatError) as err:
+            circuit_from_json(doc)
+        assert str(err.value) == f"expected rational string, got {value!r}"
+
+
+@pytest.mark.parametrize("text", ["a/b", "1/0", "1.5.2", "", " "])
+def test_repeated_malformed_spelling_keeps_its_message(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        want = f"bad rational {text!r}: {e}"
+    for doc in (_one_gate_document(text, text), _one_gate_document("1/2", text)):
+        with pytest.raises(FormatError) as err:
+            circuit_from_json(doc)
+        assert str(err.value) == want
+
+
+def test_documents_parsed_in_turn_share_no_state():
+    first = circuit_from_json(_one_gate_document("2/4", "3"))
+    with pytest.raises(FormatError):
+        circuit_from_json(_one_gate_document("2/4", "x"))
+    second = circuit_from_json(_one_gate_document("2/4", "3"))
+    assert first == second
+    assert first.layers[0][0].form.weights[0] is not second.layers[0][0].form.weights[0]
+    assert first.layers[0][0].form.bias is first.layers[0][1].form.bias
 
 
 def test_dump_and_load_files(tmp_path, rng):

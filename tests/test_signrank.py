@@ -24,7 +24,9 @@ from relucirc import (
     VertexOrdering,
     affine,
     arkadev_nikhil,
+    arkadev_nikhil_matrix,
     block_partition,
+    composed_function,
     cone_membership,
     evaluate,
     exact_rank,
@@ -599,6 +601,20 @@ def test_non_convergence_carries_the_last_estimate():
         spectral_norm(M, tol=0.0, max_iter=1)
     assert err.value.last_estimate > 0
     assert isinstance(err.value, InvariantViolationError)
+
+
+@pytest.mark.parametrize("k, b", [(2, 3), (3, 3), (2, 2), (1, 4), (1, 1)])
+def test_arkadev_nikhil_matrix_matches_pointwise_tabulation(k, b):
+    p = ComposedParams(k, b)
+    want = sign_matrix(composed_function(p), k * b)
+    got = arkadev_nikhil_matrix(p)
+    assert np.array_equal(got.num, want.num) and got.num.dtype == want.num.dtype
+    assert got == want
+
+
+def test_arkadev_nikhil_matrix_cap():
+    with pytest.raises(ResourceCapError):
+        arkadev_nikhil_matrix(ComposedParams(3, 2), cap=5)
 
 
 def test_composed_function_bounds_regression():
