@@ -111,7 +111,6 @@ from .signrank import (
     SignMatrix,
     SpectralNormDiverged,
     VertexOrdering,
-    arkadev_nikhil_matrix,
     block_partition,
     cone_membership,
     exact_rank,

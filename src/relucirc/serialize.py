@@ -1,8 +1,10 @@
 """JSON documents: circuits, planar ReLU sums and refutation reports, plus
 hex truth tables.
 
-Rationals travel as "p/q" strings in lowest terms (a bare "p" is accepted on
-input).  The circuit document shape is::
+Output writes every rational as a "p/q" string in lowest terms.  Input
+accepts any string `fractions.Fraction` parses ("2/4", " 1/2", "0.5", "3"),
+and a circuit document parses each distinct string once, so repeated weights
+share one `Fraction`.  The circuit document shape is::
 
     {"inputCount": n,
      "layers": [[{"kind": "RELU", "weights": {"x1": "1/1"}, "bias": "0/1"}]],

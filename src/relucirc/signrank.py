@@ -236,9 +236,9 @@ def inner_product_matrix(m: int, cap: int | None = None) -> SignMatrix:
 def arkadev_nikhil_matrix(params: ComposedParams, cap: int | None = None) -> SignMatrix:
     """`sign_matrix(composed_function(params), params.side_bits)`.
 
-    Block i's XORs are true exactly where the vertex indices of x and y
-    differ, so the value depends only on the XOR d of the two indices: it is
-    tabulated once per d, at x = vertex 0 and y = vertex d.
+    The XOR of coordinate j is true exactly where bit j of the vertex indices
+    of x and y differs, so the value depends only on the XOR d of the two
+    indices: it is tabulated once per d, at x = vertex 0 and y = vertex d.
     """
     m = params.side_bits
     if m > matrix_cap(cap):
