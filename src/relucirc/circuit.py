@@ -348,11 +348,28 @@ class TruthTable:
 # the layer's denominators), so gate values are integer numerators over one
 # shared positive denominator per layer.  ReLU and the LTF sign test are
 # invariant under positive scaling, which keeps everything in integers.  A
-# circuit is lowered once (``Circuit._lowered``); the cube enumerator runs the
-# kernel on int64 arrays unless a static bound says intermediates might not
-# fit, in which case it falls back to Python-object entries, as `evaluate`
-# always does.
+# circuit is lowered once (``Circuit._lowered``).  The cube enumerator
+# (`_forward_slab`) picks the kernel's dtype from the lowering's static bound
+# W = max(bound, output_den): float64 when W < 2^53, int64 when W < 2^62, and
+# Python-object entries otherwise, which `evaluate` always uses.  A slab of
+# fewer than _BLAS_MIN_PRODUCTS multiply-adds stays on int64 even below 2^53:
+# there a BLAS call and the casts to float64 and back cost more than numpy's
+# integer loop.  On 2 cores with OpenBLAS 0.3.31 and caches cold between
+# calls, the universal circuits took a median 43 us on int64 and 48 us on
+# float64 at n = 4 (1300 to 2400 multiply-adds), and 69 and 59 us at n = 5
+# (6300 to 21000).
+#
+# The float64 path is exact.  The inputs are +-1 and every weight, bias and
+# scale is an integer, so every intermediate, and every partial sum of every
+# dot product, is an integer whose magnitude is at most the sum of the
+# absolute products, which ``bound`` bounds; ``output_den`` bounds the scales
+# the output is multiplied by.  Below 2^53 every such integer is a float64,
+# so each product and each addition is exact whatever the summation order,
+# FMA, blocking or threading of the BLAS routine, and the products run through
+# dgemm/dgemv instead of numpy's loop for integer matrices.
 
+_FLOAT64_EXACT = 1 << 53
+_BLAS_MIN_PRODUCTS = 1 << 12
 _INT64_SAFE = 1 << 62
 
 
@@ -379,13 +396,17 @@ class _Lowering:
     inputs of magnitude at most 1 with ``x_den`` 1, counting the scaled LTF
     outputs +-den; inputs of magnitude at most mu over ``x_den`` <= mu scale
     it by mu.  ``output_den`` is the output pre-activation's denominator when
-    ``x_den`` is 1; the kernel multiplies int64 arrays by it.  ``use_object``
-    is set when either reaches 2^62 on the cube.
+    ``x_den`` is 1, and bounds the scales the kernel multiplies the output
+    terms by.  On the cube the kernel runs on float64 arrays while both stay
+    below 2^53 (on slabs of at least _BLAS_MIN_PRODUCTS multiply-adds) and on
+    int64 arrays below 2^62; ``use_object`` is set when either reaches 2^62.  ``products`` counts the multiply-adds of a forward
+    pass per input point.
     """
 
     def __init__(self, circuit: Circuit):
         n = circuit.input_count
         prev_width = n
+        products = 0
         self.layers = []
         bound = 1
         den = 1
@@ -398,9 +419,12 @@ class _Lowering:
                 default=0,
             )
             den *= scale
-            # den itself bounds LTF gate numerators (+-den), so keep it in the bound
-            bound = max(new_bound, den, 1)
+            # den itself bounds LTF gate numerators (+-den), so keep it in the
+            # bound; so does the layer below, which a layer of constant gates
+            # (no weights) does not read
+            bound = max(new_bound, den, bound)
             self.layers.append((rows, biases, scale, tuple(g.kind for g in layer)))
+            products += len(layer) * prev_width
             prev_width = len(layer)
 
         (out_row,), (out_bias,), out_scale, (out_abs,) = _lower_forms(
@@ -421,14 +445,17 @@ class _Lowering:
         )
         self.bound = max(bound, out_bound)
         self.output_den = den * out_scale * skip_scale
+        # the output row reads the last layer, the skip row the inputs
+        self.products = products + prev_width + n
         self.use_object = max(self.bound, self.output_den) >= _INT64_SAFE
         self.output_kind = circuit.output_gate.kind
-        self._arrays: dict[bool, tuple] = {}
+        self._arrays: dict[np.dtype, tuple] = {}
 
-    def arrays(self, use_object: bool) -> tuple:
-        """(layers, output, skip) with numpy rows of int64 or object entries."""
-        if use_object not in self._arrays:
-            dtype = object if use_object else np.int64
+    def arrays(self, dtype) -> tuple:
+        """(layers, output, skip) with numpy rows of the given dtype: float64,
+        int64 or object."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._arrays:
             layers = tuple(
                 (
                     np.array(rows, dtype=dtype),
@@ -443,8 +470,8 @@ class _Lowering:
                 (np.array(row, dtype=dtype), bias, scale)
                 for row, bias, scale in (self.output, self.skip)
             )
-            self._arrays[use_object] = (layers, out, skip)
-        return self._arrays[use_object]
+            self._arrays[dtype] = (layers, out, skip)
+        return self._arrays[dtype]
 
 
 @dataclass
@@ -466,32 +493,36 @@ def _forward(
 ) -> CubeForward:
     """Exact forward pass on the columns of x, integer numerators over x_den.
 
-    x holds int64 or Python-int (object) entries, and the circuit's rows
-    follow its dtype; the int64 path is exact only for +-1 inputs when the
-    lowering's bound allows it.
+    x holds float64, int64 or Python-int (object) entries, and the circuit's
+    rows follow its dtype.  Object entries are always exact.  On +-1 inputs
+    with ``x_den`` 1, int64 is exact while the lowering's static bound stays
+    below 2^62 and float64 while it stays below 2^53 (see the section comment
+    above); `_forward_slab` chooses among the three.
     """
     layers, (w_out, out_bias, out_scale), (w_skip, skip_bias, skip_scale) = (
-        low.arrays(x.dtype == object)
+        low.arrays(x.dtype)
     )
     values = x
     depth_scale = 1  # product of the hidden layers' scales
     last_hidden = None
     for w, b, scale, kinds, relu_only in layers:
-        raw = w.dot(values) + (b * (x_den * depth_scale))[:, None]
+        # the product is a fresh array, never x (which may be a cached,
+        # read-only cube), so the bias and the nonlinearities go in place
+        raw = w.dot(values)
+        raw += (b * (x_den * depth_scale))[:, None]
         depth_scale *= scale
-        layer_den = x_den * depth_scale
         if relu_only:
-            values = np.maximum(raw, 0)
+            np.maximum(raw, 0, out=raw)
         else:
-            values = raw
+            # a 0-d array of the layer's dtype keeps a denominator beyond
+            # int64 exact on the object path
+            ltf_den = np.array(x_den * depth_scale, dtype=raw.dtype)
             for g, kind in enumerate(kinds):
                 if kind is GateKind.RELU:
-                    values[g] = np.maximum(raw[g], 0)
+                    np.maximum(raw[g], 0, out=raw[g])
                 elif kind is GateKind.LTF:
-                    # a 0-d array of the layer's dtype keeps a denominator
-                    # beyond int64 exact on the object path
-                    ltf_den = np.array(layer_den, dtype=raw.dtype)
-                    values[g] = np.where(raw[g] >= 0, ltf_den, -ltf_den)
+                    raw[g] = np.where(raw[g] >= 0, ltf_den, -ltf_den)
+        values = raw
     if keep_last_hidden and layers:
         last_hidden = values
 
@@ -513,9 +544,26 @@ def _forward(
 def _forward_slab(
     circuit: Circuit, x_slab: np.ndarray, keep_last_hidden: bool = False
 ) -> CubeForward:
+    """Exact forward pass on an int64 slab of +-1 vertices.
+
+    The kernel runs on float64 when the lowering's static bound keeps every
+    value below 2^53 and the slab holds at least _BLAS_MIN_PRODUCTS
+    multiply-adds, on int64 below 2^62, and on Python ints otherwise; the
+    numerators come back as int64 or object arrays.
+    """
     low = circuit._lowered
-    x = x_slab.astype(object) if low.use_object else x_slab
-    return _forward(low, x, 1, keep_last_hidden)
+    if low.use_object:
+        return _forward(low, x_slab.astype(object), 1, keep_last_hidden)
+    if (
+        max(low.bound, low.output_den) >= _FLOAT64_EXACT
+        or low.products * x_slab.shape[1] < _BLAS_MIN_PRODUCTS
+    ):
+        return _forward(low, x_slab, 1, keep_last_hidden)
+    fwd = _forward(low, x_slab.astype(np.float64), 1, keep_last_hidden)
+    fwd.output_pre_num = fwd.output_pre_num.astype(np.int64)
+    if fwd.last_hidden_num is not None:
+        fwd.last_hidden_num = fwd.last_hidden_num.astype(np.int64)
+    return fwd
 
 
 def _slab_indices(n: int, slab_bits: int = 18) -> Iterator[tuple[int, int]]:

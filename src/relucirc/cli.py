@@ -71,19 +71,29 @@ from .signrank import (
 _REFERENCE_SEED_OFFSET = 0x9E3779B9
 
 
+# argument types raise ArgumentTypeError, whose message argparse prints as is
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(part) for part in text.split(",") if part != ""]
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    return [_int(part) for part in text.split(",") if part != ""]
 
 
 def _fix_map(text: str) -> dict[int, int]:
@@ -94,10 +104,12 @@ def _fix_map(text: str) -> dict[int, int]:
         coord, _, val = part.partition("=")
         sign = {"1": 1, "+1": 1, "-1": -1}.get(val.strip())
         if sign is None:
-            raise ValueError(f"fix value for coordinate {coord!r} must be +1 or -1")
-        i = int(coord)
+            raise argparse.ArgumentTypeError(
+                f"fix value for coordinate {coord!r} must be +1 or -1"
+            )
+        i = _int(coord)
         if i in fixed:
-            raise ValueError(f"coordinate {i} is fixed twice")
+            raise argparse.ArgumentTypeError(f"coordinate {i} is fixed twice")
         fixed[i] = sign
     return fixed
 

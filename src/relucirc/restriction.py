@@ -153,7 +153,9 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     # the bottom layer and the skip wires fold through the one integer rule;
     # kept forms retain their Fraction weights over the folded bias
     low = circuit._lowered
-    layers, _, (skip_row, skip_bias, skip_scale) = low.arrays(low.use_object)
+    layers, _, (skip_row, skip_bias, skip_scale) = low.arrays(
+        object if low.use_object else np.int64
+    )
     rows, biases, scale = layers[0][:3]
     fixed, signs = _fixed_signs(rho)
     folded_b, zero, lin = collapse_rule(rows, biases, fixed, signs)

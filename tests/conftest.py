@@ -28,10 +28,10 @@ def affine_value(form, values):
     return total
 
 
-def scalar_forward(circuit, point):
-    """Pre-activation of the output gate, computed gate by gate."""
-    inputs = [Fraction(x) for x in point]
-    values = inputs
+def scalar_hidden(circuit, point):
+    """Values of the last hidden layer (the inputs if there is none),
+    computed gate by gate."""
+    values = [Fraction(x) for x in point]
     for layer in circuit.layers:
         level = []
         for g in layer:
@@ -42,9 +42,14 @@ def scalar_forward(circuit, point):
                 t = Fraction(1) if t >= 0 else Fraction(-1)
             level.append(t)
         values = level
-    t = affine_value(circuit.output_gate.form, values)
+    return values
+
+
+def scalar_forward(circuit, point):
+    """Pre-activation of the output gate, computed gate by gate."""
+    t = affine_value(circuit.output_gate.form, scalar_hidden(circuit, point))
     if circuit.skip_wires is not None:
-        t += affine_value(circuit.skip_wires, inputs)
+        t += affine_value(circuit.skip_wires, [Fraction(x) for x in point])
     return t
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,16 @@ from relucirc import (
     vertex,
     vertex_index,
 )
+from relucirc import circuit as circuit_module
+from relucirc.circuit import _full_cube
 
-from conftest import random_circuit, scalar_evaluate, scalar_forward, scalar_table
+from conftest import (
+    random_circuit,
+    scalar_evaluate,
+    scalar_forward,
+    scalar_hidden,
+    scalar_table,
+)
 
 
 def single_gate(kind, weights, bias, n):
@@ -291,6 +300,147 @@ def test_bulk_path_survives_huge_weights(rng):
         n = rng.randint(1, 4)
         c = random_circuit(rng, n, 3, 3, span=10**19)
         assert truth_table(c) == scalar_table(c)
+
+
+def test_a_layer_of_constant_gates_keeps_the_bound_of_the_layer_below():
+    # the bottom gate's values are past float64; the constant gate above reads none
+    bottom = (Gate(GateKind.RELU, affine({0: 2**1100})),)
+    constant = (Gate(GateKind.RELU, affine({}, 1)),)
+    out = Gate(GateKind.LTF, affine({0: 1}, Fraction(-1, 2)))
+    c = Circuit(1, (bottom, constant), out)
+    assert truth_table(c) == scalar_table(c)
+
+
+# ---------------------------------------------------------------------------
+# the cube kernel's dtype: float64 below 2^53 on slabs of at least 2^12
+# multiply-adds, int64 below 2^62, Python ints above
+
+# at this arity a circuit of one gate reading every input already has 2n
+# multiply-adds per vertex, 2^12 on the whole cube
+WIDE = 8
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The dtype of the inputs of each forward-kernel run."""
+    dtypes = []
+    forward = circuit_module._forward
+
+    def spy(low, x, x_den, keep_last_hidden=False):
+        dtypes.append(x.dtype)
+        return forward(low, x, x_den, keep_last_hidden)
+
+    monkeypatch.setattr(circuit_module, "_forward", spy)
+    return dtypes
+
+
+def _check_on_cube(c):
+    """forward_on_cube and truth_table against the scalar oracles."""
+    n = c.input_count
+    fwd = forward_on_cube(c)
+    assert fwd.output_pre_num.dtype == np.int64
+    assert [fwd.output_pre(i) for i in range(1 << n)] == [
+        scalar_forward(c, vertex(n, i)) for i in range(1 << n)
+    ]
+    assert truth_table(c) == scalar_table(c)
+
+
+def _two_relus(out_weights, out_bias):
+    """ReLU(x1) and ReLU(x2) under an LTF output, with skip bias -1."""
+    hidden = tuple(Gate(GateKind.RELU, affine({i: 1})) for i in range(2))
+    return Circuit(WIDE, (hidden,), Gate(GateKind.LTF, affine(out_weights, out_bias)),
+                   affine({}, -1))
+
+
+def test_cube_kernel_keeps_int64_for_values_just_beyond_2_53(kernel_dtypes):
+    # the hidden sum 2^53 + 1 at x = (1, 1, ...) would round to 2^53 in
+    # float64, which flips the output's sign there, and -(2^53 + 1) is no float64
+    c = _two_relus({0: 2**53, 1: 1}, -2**53)
+    assert c._lowered.bound >= 2**53
+    pre = [scalar_forward(c, vertex(WIDE, i)) for i in range(4)]
+    assert pre == [0, -2**53, -1, -2**53 - 1]
+    _check_on_cube(c)
+    assert kernel_dtypes == [np.int64] * 2
+
+
+@pytest.mark.parametrize("extra, dtype", [(0, np.float64), (1, np.int64)])
+def test_cube_kernel_takes_float64_only_below_2_53(kernel_dtypes, extra, dtype):
+    # bound (2^52 + 2^51 - 1) + 1 + (2^51 - 1 + extra) = 2^53 - 1 + extra
+    c = _two_relus({0: 2**52, 1: 2**51 - 1}, -(2**51 - 1 + extra))
+    assert c._lowered.bound == 2**53 - 1 + extra
+    assert scalar_forward(c, vertex(WIDE, 0)) == 2**52 - 1 - extra
+    _check_on_cube(c)
+    assert kernel_dtypes == [dtype] * 2
+
+
+def test_cube_kernel_keeps_int64_for_an_output_denominator_beyond_2_53(kernel_dtypes):
+    # small numerators, but the hidden and output scales multiply past 2^53
+    p, q = 2**26 + 15, 2**27 + 29
+    hidden = Gate(GateKind.RELU, affine({0: Fraction(1, p)}))
+    out = Gate(GateKind.LTF, affine({0: Fraction(1, q)}))
+    c = Circuit(WIDE, ((hidden,),), out)
+    low = c._lowered
+    assert low.bound < 2**53 <= low.output_den < 2**62
+    _check_on_cube(c)
+    assert kernel_dtypes == [np.int64] * 2
+
+
+@pytest.mark.parametrize("n, dtype", [(WIDE - 1, np.int64), (WIDE, np.float64)])
+def test_cube_kernel_keeps_small_slabs_on_int64(kernel_dtypes, n, dtype):
+    # one gate on every input: 2n multiply-adds a vertex, 1792 at n = 7, 4096 at n = 8
+    c = single_gate(GateKind.LTF, [(-1) ** i * (i + 1) for i in range(n)], 1, n)
+    assert c._lowered.products == 2 * n
+    _check_on_cube(c)
+    assert kernel_dtypes == [dtype] * 2
+
+
+def test_float64_path_returns_int64_numerators(kernel_dtypes):
+    bottom = (
+        Gate(GateKind.RELU, affine({0: 1, 1: Fraction(-1, 2), 7: 1}, Fraction(1, 3))),
+        Gate(GateKind.LTF, affine({1: 1, 2: 1, 5: -1}, -1)),
+        Gate(GateKind.RELU, affine({2: -2, 4: 1}, 1)),
+    )
+    # the top layer mixes ReLU, LTF and SUM gates
+    top = (
+        Gate(GateKind.RELU, affine({0: 1, 1: 2}, -1)),
+        Gate(GateKind.LTF, affine({1: 1, 2: -3}, 0)),
+        Gate(GateKind.SUM, affine({0: Fraction(3, 7), 2: 1}, Fraction(-1, 4))),
+    )
+    out = Gate(GateKind.SUM, affine({0: 2, 1: Fraction(1, 5), 2: -1}, 1))
+    c = Circuit(WIDE, (bottom, top), out, affine({0: 1, 6: -1}, 0))
+    fwd = forward_on_cube(c, keep_last_hidden=True)
+    assert kernel_dtypes == [np.float64]
+    assert fwd.output_pre_num.dtype == fwd.last_hidden_num.dtype == np.int64
+    for i in range(1 << WIDE):
+        point = vertex(WIDE, i)
+        assert fwd.output_pre(i) == scalar_forward(c, point)
+        hidden = [Fraction(int(v), fwd.last_hidden_den) for v in fwd.last_hidden_num[:, i]]
+        assert hidden == scalar_hidden(c, point)
+
+
+@pytest.mark.parametrize("scale, dtype", [
+    (1, np.float64), (2**55, np.int64), (2**70, object),
+])
+def test_truth_table_leaves_the_cached_cube_untouched(kernel_dtypes, scale, dtype):
+    cube = _full_cube(WIDE)
+    before = cube.copy()
+    weights = [scale, -2 * scale, scale, 1, -1, 1, -1, 1]
+    no_hidden = single_gate(GateKind.LTF, weights, 1, WIDE)
+    hidden = (Gate(GateKind.RELU, affine({0: scale, 2: 1})),)
+    out = Gate(GateKind.LTF, affine({0: 1}, -scale))
+    with_skip = Circuit(WIDE, (hidden,), out, affine({1: scale, 2: -1}, 0))
+    for c in (no_hidden, with_skip):
+        assert truth_table(c) == scalar_table(c)
+    assert kernel_dtypes == [dtype] * 2
+    assert _full_cube(WIDE) is cube and not cube.flags.writeable
+    assert np.array_equal(cube, before)
+
+
+def test_float64_path_matches_scalar_table_on_random_circuits(rng, kernel_dtypes):
+    for _ in range(40):
+        c = random_circuit(rng, WIDE, rng.randint(1, 4), 4, span=3)
+        assert truth_table(c) == scalar_table(c)
+    assert set(kernel_dtypes) == {np.dtype(np.float64)}
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,28 @@ def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+BAD_ARGUMENTS = [
+    (["restrict", "apply", "--circuit", "c.json", "--fix", "1=0"],
+     "fix value for coordinate '1' must be +1 or -1"),
+    (["restrict", "apply", "--circuit", "c.json", "--fix", "1=+1,1=-1"],
+     "coordinate 1 is fixed twice"),
+    (["restrict", "apply", "--circuit", "c.json", "--fix", "a=1"], "'a' is not an integer"),
+    (["restrict", "survival", "--n-list", "4,x"], "'x' is not an integer"),
+    (["construct", "ltf2relu", "--weights", "1,2", "--bias", "1/0"],
+     "zero denominator in '1/0'"),
+    (["construct", "linear", "--weights", "1,x"], "'x' is not a rational number"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", BAD_ARGUMENTS, ids=[" ".join(a) for a, _ in BAD_ARGUMENTS])
+def test_cli_bad_argument_error_line_gives_the_reason(capsys, argv, reason):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert reason in line
+    assert not any(name in err for name in ("_fix_map", "_int_list", "_fraction"))
+
+
 def test_cli_rejects_malformed_circuit_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
