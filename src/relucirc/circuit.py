@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -156,6 +156,73 @@ class Gate:
     form: AffineForm
 
 
+class _Layer(tuple):
+    """A hidden layer: the tuple of its gates, which checks and lowers itself once.
+
+    It compares, hashes, prints and serializes as the plain tuple.  Its
+    ``__dict__`` caches, per width of the layer it reads, that its read check
+    passed and its integer lowering, with the numpy arrays of each dtype, so
+    circuits that share one layer object (a construction's cached layer, or a
+    layer `apply_restriction` passes through) check and lower it once.  The
+    cache lives exactly as long as the layer.
+    """
+
+    @cached_property
+    def kinds(self) -> tuple[GateKind, ...]:
+        return tuple(g.kind for g in self)
+
+    @cached_property
+    def _checked(self) -> set[int]:
+        return set()
+
+    @cached_property
+    def _lowerings(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
+    def _arrays(self) -> dict[tuple[int, np.dtype], tuple]:
+        return {}
+
+    def check_reads(self, width: int, k: int) -> None:
+        """Raise WireError unless the layer is nonempty and every gate reads
+        positions below ``width``; ``k`` numbers the layer in the message."""
+        if width in self._checked:
+            return
+        if not self:
+            raise WireError(f"layer {k} is empty")
+        prev = _positions(width)
+        for j, gate in enumerate(self, start=1):
+            if not prev >= gate.form.weights.keys():
+                raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
+        self._checked.add(width)
+
+    def lowered(self, width: int) -> tuple[list[list[int]], list[int], int, set[tuple[int, int]]]:
+        """(rows, biases, scale, bound terms) over ``width`` positions: the
+        gates' `_lower_forms`, and the distinct (sum of |row|, |bias|) pairs
+        the static bound reads.  Shared; must not be mutated."""
+        if width not in self._lowerings:
+            rows, biases, scale, abs_sums = _lower_forms([g.form for g in self], width)
+            terms = set(zip(abs_sums, map(abs, biases)))
+            self._lowerings[width] = (rows, biases, scale, terms)
+        return self._lowerings[width]
+
+    def arrays(self, width: int, dtype: np.dtype) -> tuple:
+        """(rows, biases, scale, kinds, relu_only) with numpy rows and biases
+        of ``dtype``.  Shared; must not be mutated."""
+        key = (width, dtype)
+        if key not in self._arrays:
+            rows, biases, scale, _ = self.lowered(width)
+            kinds = self.kinds
+            self._arrays[key] = (
+                np.array(rows, dtype=dtype),
+                np.array(biases, dtype=dtype),
+                scale,
+                kinds,
+                all(kind is GateKind.RELU for kind in kinds),
+            )
+        return self._arrays[key]
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A layered gate DAG with an optional input->output skip connection.
@@ -174,20 +241,19 @@ class Circuit:
     def __post_init__(self):
         if self.input_count < 0:
             raise ArityError("negative input count")
-        object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
+        object.__setattr__(self, "layers", tuple(
+            layer if type(layer) is _Layer else _Layer(layer) for layer in self.layers
+        ))
         self._validate()
 
     def _validate(self) -> None:
         """Every weight key is a position of the layer its form reads."""
         inputs = _positions(self.input_count)
-        prev = inputs
+        width = self.input_count
         for k, layer in enumerate(self.layers, start=1):
-            if not layer:
-                raise WireError(f"layer {k} is empty")
-            for j, gate in enumerate(layer, start=1):
-                if not prev >= gate.form.weights.keys():
-                    raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
-            prev = _positions(len(layer))
+            layer.check_reads(width, k)
+            width = len(layer)
+        prev = _positions(width)
         if not prev >= self.output_gate.form.weights.keys():
             raise _read_error(self.output_gate.form, prev, "the output gate")
         if self.skip_wires is not None and not inputs >= self.skip_wires.weights.keys():
@@ -305,14 +371,6 @@ class TruthTable:
             raise ArityError(f"expected {1 << n} values, got {count}")
         return cls(n, bits)
 
-    @classmethod
-    def from_function(
-        cls, n: int, f: Callable[[tuple[int, ...]], int], cap: int | None = None
-    ) -> "TruthTable":
-        if n > enumeration_cap(cap):
-            raise ResourceCapError(f"arity {n} exceeds enumeration cap")
-        return cls.from_signs(n, (f(vertex(n, i)) for i in range(1 << n)))
-
     def value(self, index: int) -> int:
         if not 0 <= index < (1 << self.arity):
             raise ArityError(f"index {index} out of range")
@@ -347,9 +405,20 @@ class TruthTable:
 # Every layer is scaled to integer weights (multiplying through by the lcm of
 # the layer's denominators), so gate values are integer numerators over one
 # shared positive denominator per layer.  ReLU and the LTF sign test are
-# invariant under positive scaling, which keeps everything in integers.  A
-# circuit is lowered once (``Circuit._lowered``).  The cube enumerator
-# (`_forward_slab`) picks the kernel's dtype from the lowering's static bound
+# invariant under positive scaling, which keeps everything in integers.  Each
+# hidden layer (`_Layer`) lowers itself once per width of the layer it reads
+# and keeps the result, so circuits sharing a layer object share its rows and
+# arrays; a circuit adds only its static bound and its output and skip rows
+# (``Circuit._lowered``).
+#
+# `truth_table` walks the cube in slabs (`_cube_forwards`) of the largest
+# power-of-two number of vertices whose product with the widest hidden layer
+# is at most _SLAB_ELEMENTS = 2^18, i.e. 2 MiB of float64 values, which stay
+# in one core's L2 cache; `forward_on_cube` runs the whole cube as one slab,
+# since its callers need whole arrays.  Summed over the truth tables of the
+# universal circuits at n = 8 to 10, on 2 cores, budgets of 2^16 to 2^18 took
+# 110 to 150 ms, 2^14 took 300 ms and 2^24, one slab, 265 ms.  The cube
+# enumerator (`_forward_slab`) picks the kernel's dtype from the lowering's static bound
 # W = max(bound, output_den): float64 when W < 2^53, int64 when W < 2^62, and
 # Python-object entries otherwise, which `evaluate` always uses.  A slab of
 # fewer than _BLAS_MIN_PRODUCTS multiply-adds stays on int64 even below 2^53:
@@ -371,6 +440,7 @@ class TruthTable:
 _FLOAT64_EXACT = 1 << 53
 _BLAS_MIN_PRODUCTS = 1 << 12
 _INT64_SAFE = 1 << 62
+_SLAB_ELEMENTS = 1 << 18
 
 
 def _lower_forms(
@@ -390,7 +460,8 @@ def _lower_forms(
 
 
 class _Lowering:
-    """A circuit as integer rows, biases, scales and gate kinds per layer.
+    """A circuit's static bound, and its output and skip rows over the hidden
+    layers' own lowerings (`_Layer.lowered`).
 
     ``bound`` is a static bound on every intermediate of a forward pass over
     inputs of magnitude at most 1 with ``x_den`` 1, counting the scaled LTF
@@ -399,31 +470,28 @@ class _Lowering:
     ``x_den`` is 1, and bounds the scales the kernel multiplies the output
     terms by.  On the cube the kernel runs on float64 arrays while both stay
     below 2^53 (on slabs of at least _BLAS_MIN_PRODUCTS multiply-adds) and on
-    int64 arrays below 2^62; ``use_object`` is set when either reaches 2^62.  ``products`` counts the multiply-adds of a forward
-    pass per input point.
+    int64 arrays below 2^62; ``use_object`` is set when either reaches 2^62.
+    ``products`` counts the multiply-adds of a forward pass per input point.
     """
 
     def __init__(self, circuit: Circuit):
         n = circuit.input_count
         prev_width = n
         products = 0
+        # each hidden layer with the width of the layer it reads
         self.layers = []
         bound = 1
         den = 1
         for layer in circuit.layers:
-            rows, biases, scale, abs_sums = _lower_forms(
-                [g.form for g in layer], prev_width
-            )
-            new_bound = max(
-                (s * bound + abs(b) * den * scale for s, b in zip(abs_sums, biases)),
-                default=0,
-            )
+            _, _, scale, terms = layer.lowered(prev_width)
+            # the per-gate bound, over the layer's distinct (sum |row|, |bias|)
+            new_bound = max((s * bound + b * den * scale for s, b in terms), default=0)
             den *= scale
             # den itself bounds LTF gate numerators (+-den), so keep it in the
             # bound; so does the layer below, which a layer of constant gates
             # (no weights) does not read
             bound = max(new_bound, den, bound)
-            self.layers.append((rows, biases, scale, tuple(g.kind for g in layer)))
+            self.layers.append((layer, prev_width))
             products += len(layer) * prev_width
             prev_width = len(layer)
 
@@ -453,19 +521,11 @@ class _Lowering:
 
     def arrays(self, dtype) -> tuple:
         """(layers, output, skip) with numpy rows of the given dtype: float64,
-        int64 or object."""
+        int64 or object.  Each hidden layer's entry is `_Layer.arrays`, shared
+        by every circuit that holds the layer."""
         dtype = np.dtype(dtype)
         if dtype not in self._arrays:
-            layers = tuple(
-                (
-                    np.array(rows, dtype=dtype),
-                    np.array(biases, dtype=dtype),
-                    scale,
-                    kinds,
-                    all(kind is GateKind.RELU for kind in kinds),
-                )
-                for rows, biases, scale, kinds in self.layers
-            )
+            layers = tuple(layer.arrays(width, dtype) for layer, width in self.layers)
             out, skip = (
                 (np.array(row, dtype=dtype), bias, scale)
                 for row, bias, scale in (self.output, self.skip)
@@ -566,20 +626,28 @@ def _forward_slab(
     return fwd
 
 
-def _slab_indices(n: int, slab_bits: int = 18) -> Iterator[tuple[int, int]]:
-    n_points = 1 << n
-    step = 1 << min(n, slab_bits)
-    for start in range(0, n_points, step):
-        yield start, min(start + step, n_points)
+def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:
+    """The circuit's forward passes over the cube, slab by slab, each with the
+    index of the slab's first vertex.
+
+    A slab has the largest power-of-two number of vertices whose product with
+    the widest hidden layer is at most _SLAB_ELEMENTS, so a layer's values fit
+    in cache; a circuit without hidden layers takes 2^18 vertices a slab.
+    """
+    n = circuit.input_count
+    widest = max(circuit.widths, default=1)
+    step = min(1 << n, 1 << (max(_SLAB_ELEMENTS // widest, 1).bit_length() - 1))
+    for start in range(0, 1 << n, step):
+        yield start, _forward_slab(circuit, _cube_slab(n, start, start + step))
 
 
 def _cube_slab(n: int, start: int, stop: int) -> np.ndarray:
     """int64 (n, stop - start) matrix of the vertices start..stop-1.
 
-    Full cubes of small arity come from a cache and are read-only.
+    Slabs of cubes of small arity are views of a cached, read-only cube.
     """
-    if n <= _CACHE_BITS and start == 0 and stop == 1 << n:
-        return _full_cube(n)
+    if n <= _CACHE_BITS:
+        return _full_cube(n)[:, start:stop]
     return _make_cube_slab(n, start, stop)
 
 
@@ -617,22 +685,18 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     kind = circuit.output_gate.kind
     if kind is GateKind.RELU:
         raise ContractError("truth_table needs an LTF or +-1-valued SUM output")
-    bits = 0
-    for start, stop in _slab_indices(n):
-        fwd = _forward_slab(circuit, _cube_slab(n, start, stop))
+    minus = np.empty(1 << n, dtype=bool)
+    for start, fwd in _cube_forwards(circuit):
         num = fwd.output_pre_num
+        part = minus[start:start + num.size]
         if kind is GateKind.LTF:
-            minus = num < 0
+            part[:] = num < 0
         else:
             den = fwd.output_pre_den
-            minus = num == -den
-            if not bool(np.all(minus | (num == den))):
+            part[:] = num == -den
+            if not bool(np.all(part | (num == den))):
                 raise ContractError("SUM output is not +-1-valued on the cube")
-        minus = np.asarray(minus, dtype=bool)
-        packed = int.from_bytes(
-            np.packbits(minus, bitorder="little").tobytes(), "little"
-        )
-        bits |= packed << start
+    bits = int.from_bytes(np.packbits(minus, bitorder="little").tobytes(), "little")
     return TruthTable(n, bits)
 
 

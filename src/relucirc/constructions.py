@@ -23,9 +23,8 @@ from .circuit import (
     ResourceCapError,
     TruthTable,
     _CACHE_BITS,
-    _cube_slab,
-    _forward_slab,
-    _slab_indices,
+    _cube_forwards,
+    _Layer,
     affine,
     enumeration_cap,
 )
@@ -146,10 +145,8 @@ def linear_as_2relu(form: AffineForm, input_count: int) -> Circuit:
 def _closest_negative_on_cube(threshold: Circuit) -> tuple[int | None, int]:
     """(max strictly-negative scaled pre-activation, scale) of a circuit with
     no hidden layers, over the cube."""
-    n = threshold.input_count
     best: int | None = None
-    for start, stop in _slab_indices(n):
-        fwd = _forward_slab(threshold, _cube_slab(n, start, stop))
+    for _, fwd in _cube_forwards(threshold):
         vals = fwd.output_pre_num
         neg = vals[vals < 0]
         if neg.size:
@@ -185,9 +182,12 @@ def ltf_to_relu(gate: Gate, input_count: int, cap: int | None = None) -> Circuit
 
 
 @lru_cache(maxsize=None)
-def _vertex_layer(n: int) -> tuple[Gate, ...]:
-    """The 2^n indicator gates ReLU(<v, x> - (n-1)), in vertex-index order."""
-    return tuple(
+def _vertex_layer(n: int) -> _Layer:
+    """The 2^n indicator gates ReLU(<v, x> - (n-1)), in vertex-index order.
+
+    A `_Layer`, so every circuit that holds it shares one check and lowering.
+    """
+    return _Layer(
         Gate(
             GateKind.RELU,
             AffineForm(

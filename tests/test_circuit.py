@@ -24,6 +24,8 @@ from relucirc import (
     forward_on_cube,
     simplify,
     truth_table,
+    universal_fourier,
+    universal_vertex_indicators,
     vertex,
     vertex_index,
 )
@@ -441,6 +443,49 @@ def test_float64_path_matches_scalar_table_on_random_circuits(rng, kernel_dtypes
         c = random_circuit(rng, WIDE, rng.randint(1, 4), 4, span=3)
         assert truth_table(c) == scalar_table(c)
     assert set(kernel_dtypes) == {np.dtype(np.float64)}
+
+
+# ---------------------------------------------------------------------------
+# cube slabs: the largest power-of-two vertex count whose product with the
+# widest hidden layer is at most 2^18
+
+def _slab_count(n, widest):
+    slab = 1 << 18
+    while slab * widest > 1 << 18:
+        slab //= 2
+    return max(1, (1 << n) // slab)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_universal_routes_tabulate_wide_layers_in_float64_slabs(rng, kernel_dtypes, n):
+    table = TruthTable(n, rng.getrandbits(1 << n))
+    vertex_c = universal_vertex_indicators(table)
+    assert truth_table(vertex_c) == table
+    # 2^n gates: one slab of 512 vertices at n = 9, four of 256 at n = 10
+    assert len(kernel_dtypes) == {9: 1, 10: 4}[n]
+    kernel_dtypes.clear()
+    fourier_c = universal_fourier(table)
+    assert truth_table(fourier_c) == table
+    assert len(kernel_dtypes) == _slab_count(n, max(fourier_c.widths)) > 1
+    assert set(kernel_dtypes) == {np.dtype(np.float64)}
+
+
+def test_truth_table_across_a_slab_boundary_matches_the_oracle(rng, kernel_dtypes):
+    n = 8
+    gates = [
+        Gate(GateKind.RELU, affine({i: 1, (i + 3) % n: Fraction(-1, 2), (i + 5) % n: 2},
+                                   rng.randint(-2, 1)))
+        for i in range(n)
+    ]
+    # constant SUM gates widen the layer past 1024, so the slabs hold 128
+    # vertices, and cost the scalar oracle little
+    hidden = tuple(gates) + (Gate(GateKind.SUM, affine({})),) * 1020
+    out = Gate(GateKind.LTF, affine({i: rng.choice((-3, -1, 1, 2)) for i in range(n)}))
+    c = Circuit(n, (hidden,), out, affine({7: 1}))
+    table = truth_table(c)
+    assert kernel_dtypes == [np.float64] * 2
+    assert table == scalar_table(c)
+    assert 0 < (table.bits >> 128).bit_count() < 128
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from relucirc import (
     Circuit,
     Gate,
     GateKind,
     ResourceCapError,
     TruthTable,
+    WireError,
     affine,
     evaluate,
     linear_as_2relu,
@@ -26,6 +29,7 @@ from relucirc import (
     vertex,
     walsh_hadamard,
 )
+from relucirc.constructions import _vertex_layer
 from relucirc.serialize import circuit_from_json, circuit_to_json
 
 from conftest import scalar_table
@@ -338,3 +342,31 @@ def test_shared_hidden_gates_leave_earlier_circuits_unchanged():
         doc = circuit_to_json(first)
         assert set(doc) == {"inputCount", "layers", "outputGate", "skipWires"}
         assert json.dumps(doc, sort_keys=True) == before[3]
+
+
+def test_a_layer_checked_at_one_width_is_checked_again_at_another():
+    layer = _vertex_layer(3)
+    assert truth_table(universal_vertex_indicators(TruthTable(3, 0x96))) == TruthTable(3, 0x96)
+    out = Gate(GateKind.SUM, affine({0: 1}))
+    # every gate reads x3 (position 2), which a 2-input circuit does not have
+    with pytest.raises(WireError, match=r"gate 1 of layer 1: \[2\]"):
+        Circuit(2, (layer,), out)
+    Circuit(3, (layer,), out)
+
+
+def test_vertex_route_circuits_share_one_lowered_layer():
+    first, second = (universal_vertex_indicators(TruthTable(4, bits)) for bits in (0x6996, 0x1234))
+    assert first.layers[0] is second.layers[0] is _vertex_layer(4)
+    (first_layer,), _, _ = first._lowered.arrays(np.float64)
+    (second_layer,), _, _ = second._lowered.arrays(np.float64)
+    assert first_layer is second_layer
+
+    # a layer compares and prints as the plain tuple of its gates
+    plain = Circuit(4, (tuple(first.layers[0]),), first.output_gate)
+    assert plain == first and first == plain and repr(plain) == repr(first)
+    assert first.layers[0] == tuple(first.layers[0])
+    fresh = circuit_from_json(circuit_to_json(first))
+    assert fresh == first and first == fresh
+    assert truth_table(fresh) == truth_table(first) == TruthTable(4, 0x6996)
+    assert fresh._lowered.arrays(np.float64)[0][0] is not first_layer
+

@@ -39,7 +39,7 @@ from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_he
 
 REPORT_KEYS = {
     "n", "epsilon", "trials", "seed", "reference", "minAgreementCount",
-    "hits", "empirical", "chernoffBound", "threeStandardErrors",
+    "hits", "empirical", "chernoffBound", "exactTail", "threeStandardErrors",
 }
 
 
@@ -123,6 +123,31 @@ def test_probe_arity_cap():
 def test_probe_rejects_empty_runs():
     with pytest.raises(ContractError):
         random_agreement_probe(parity_table(3), Fraction(1, 4), 0, 0)
+
+
+def binomial_tail_oracle(n_points, least):
+    """P[Bin(n_points, 1/2) >= least] from math.comb, term by term."""
+    from math import comb
+    return Fraction(sum(comb(n_points, k) for k in range(max(least, 0), n_points + 1)),
+                    2 ** n_points)
+
+
+@pytest.mark.parametrize("n, epsilon", [
+    (0, "1/4"), (3, "0"), (4, "1/5"), (6, "1/64"), (10, "1/5"), (8, "1/2"), (5, "3/4"),
+])
+def test_probe_reports_the_exact_tail_below_the_bound(n, epsilon):
+    report = random_agreement_probe(parity_table(n), Fraction(epsilon), 3, 0)
+    tail = binomial_tail_oracle(1 << n, report["minAgreementCount"])
+    assert report["exactTail"] == float(tail)
+    assert report["exactTail"] <= report["chernoffBound"]
+
+
+def test_probe_raises_only_on_a_tail_above_the_bound(monkeypatch):
+    import relucirc.experiments as experiments
+
+    monkeypatch.setattr(experiments, "_binomial_tail", lambda size, least: Fraction(1))
+    with pytest.raises(InvariantViolationError):
+        random_agreement_probe(parity_table(4), Fraction(1, 5), 1, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +493,16 @@ def test_cli_random_approx(capsys):
     assert doc["empirical"] <= doc["chernoffBound"] + doc["threeStandardErrors"]
 
 
+def test_cli_random_approx_one_lucky_trial_is_no_violation(capsys):
+    # the single trial agrees on at least 12 of 16 points: probability 0.038
+    doc = cli_json(capsys, [
+        "random-approx", "--n", "4", "--epsilon", "1/5", "--trials", "1", "--seed", "41",
+    ])
+    assert doc["minAgreementCount"] == 12
+    assert (doc["hits"], doc["empirical"], doc["threeStandardErrors"]) == (1, 1.0, 0.0)
+    assert doc["exactTail"] == float(binomial_tail_oracle(16, 12)) < doc["chernoffBound"]
+
+
 def test_cli_random_approx_circuit_reference(capsys):
     doc = cli_json(capsys, [
         "random-approx", "--n", "6", "--epsilon", "1/4", "--trials", "200",
@@ -640,6 +675,7 @@ BAD_CIRCUIT_FILES = {
     ["signrank", "function", "--name", "inner-product", "--m", "-2"],
     ["random-approx", "--n", "-1", "--epsilon", "1/4"],
     ["random-approx", "--n", "3", "--epsilon", "1/4", "--trials", "0"],
+    ["random-approx", "--n", "3", "--epsilon=-1/4"],
     ["restrict", "apply", "--circuit", "not-json", "--fix", "1=1"],
     ["restrict", "apply", "--circuit", "wrong-layer", "--fix", "1=1"],
     ["restrict", "apply", "--circuit", "out-of-range", "--fix", "1=1"],

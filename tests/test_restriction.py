@@ -176,6 +176,15 @@ def test_deeper_layers_fold_but_only_the_bottom_collapses(rng):
         assert slice_matches(c, rho, apply_restriction(c, rho))
 
 
+def test_layers_above_the_second_keep_their_lowering(rng):
+    from conftest import random_circuit
+    c = random_circuit(rng, 6, 4, 3, skip_ok=False, bottom_relu_only=True)
+    c._lowered.arrays(np.int64)
+    restricted = apply_restriction(c, Restriction(6, {1: 1, 4: -1})).restricted
+    assert restricted.layers[2] is c.layers[2]
+    assert restricted._lowered.arrays(np.int64)[0][2] is c._lowered.arrays(np.int64)[0][2]
+
+
 @pytest.mark.parametrize("weights, bias, fixed, want_weights, want_bias", [
     # fixed coordinates fold into the bias; free ones keep their weights
     ((1, 2, 3), 0, {2: -1}, {0: 1, 1: 3}, -2),
