@@ -167,21 +167,16 @@ class _Layer(tuple):
     cache lives exactly as long as the layer.
     """
 
-    @cached_property
-    def kinds(self) -> tuple[GateKind, ...]:
-        return tuple(g.kind for g in self)
-
-    @cached_property
-    def _checked(self) -> set[int]:
-        return set()
-
-    @cached_property
-    def _lowerings(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
-    def _arrays(self) -> dict[tuple[int, np.dtype], tuple]:
-        return {}
+    def __new__(cls, gates: Iterable[Gate] = ()):
+        layer = super().__new__(cls, gates)
+        # made up front: a cached_property takes a lock on first use, about
+        # 2 us, a measurable share of lowering a small circuit.  Widths that
+        # passed the read check, the lowering per width, the arrays per
+        # (width, dtype)
+        layer._checked = set()
+        layer._lowerings = {}
+        layer._arrays = {}
+        return layer
 
     def check_reads(self, width: int, k: int) -> None:
         """Raise WireError unless the layer is nonempty and every gate reads
@@ -212,7 +207,7 @@ class _Layer(tuple):
         key = (width, dtype)
         if key not in self._arrays:
             rows, biases, scale, _ = self.lowered(width)
-            kinds = self.kinds
+            kinds = tuple(g.kind for g in self)
             self._arrays[key] = (
                 np.array(rows, dtype=dtype),
                 np.array(biases, dtype=dtype),
