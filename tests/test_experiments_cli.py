@@ -240,6 +240,15 @@ CONSTRUCT_GOLDEN = [
         "construct_linear_weights1-2,-1_bias2.json",
         ["linear", "--weights", "1/2,-1", "--bias", "2"],
     ),
+    # every one of the 31 blocks, and a table whose spectrum has 9 zeros
+    (
+        "construct_universal-fourier_n5_table9f767c45.json",
+        ["universal-fourier", "--n", "5", "--table", "9f767c45"],
+    ),
+    (
+        "construct_universal-fourier_n5_tablecb91ce37.json",
+        ["universal-fourier", "--n", "5", "--table", "cb91ce37"],
+    ),
 ]
 
 
@@ -509,6 +518,16 @@ def test_cli_random_approx_circuit_reference(capsys):
         "--seed", "9", "--reference", "random-circuit", "--gates", "4",
     ])
     assert doc["reference"].startswith("random-circuit(")
+
+
+def test_cli_random_approx_bytes_match_golden(capsys):
+    # the float bytes of the bound, the tail and the hit frequency
+    assert run_cli([
+        "random-approx", "--n", "6", "--epsilon", "1/8", "--trials", "500",
+        "--seed", "9", "--reference", "random-circuit", "--gates", "4",
+    ]) == 0
+    golden = GOLDEN / "random-approx_n6_epsilon1-8_trials500_seed9_random-circuit4.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_cli_random_approx_cap_and_lift(capsys):
