@@ -30,7 +30,6 @@ from .circuit import (
     simplify,
     truth_table,
     vertex,
-    vertex_index,
 )
 from .constructions import (
     FourierExpansion,

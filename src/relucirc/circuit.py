@@ -117,9 +117,11 @@ class AffineForm:
         """(row, bias, scale, sum of |row|): the form times ``scale``, the lcm
         of its denominators, as a dense integer row over ``width`` positions.
 
-        Cached per width; the row is shared and must not be mutated.
+        Cached per width in the instance dict, without the lock a
+        cached_property takes on first use; the row is shared and must not be
+        mutated.
         """
-        cache = self._rows
+        cache = vars(self).setdefault("_rows", {})
         if width not in cache:
             ratios = [(pos, *w.as_integer_ratio()) for pos, w in self.weights.items()]
             b_num, b_den = self.bias.as_integer_ratio()
@@ -129,10 +131,6 @@ class AffineForm:
                 row[i] = num * (scale // den)
             cache[width] = (row, b_num * (scale // b_den), scale, sum(map(abs, row)))
         return cache[width]
-
-    @cached_property
-    def _rows(self) -> dict[int, tuple[list[int], int, int, int]]:
-        return {}
 
 
 class GateKind(str, Enum):
@@ -164,7 +162,9 @@ class _Layer(tuple):
     passed and its integer lowering, with the numpy arrays of each dtype, so
     circuits that share one layer object (a construction's cached layer, or a
     layer `apply_restriction` passes through) check and lower it once.  The
-    cache lives exactly as long as the layer.
+    cache lives exactly as long as the layer.  A layer made by `select` also
+    holds the layer it came from and takes its check, lowering and arrays
+    from there.
     """
 
     def __new__(cls, gates: Iterable[Gate] = ()):
@@ -172,10 +172,26 @@ class _Layer(tuple):
         # made up front: a cached_property takes a lock on first use, about
         # 2 us, a measurable share of lowering a small circuit.  Widths that
         # passed the read check, the lowering per width, the arrays per
-        # (width, dtype)
+        # (width, dtype), and the (layer, gate positions) `select` took
         layer._checked = set()
         layer._lowerings = {}
         layer._arrays = {}
+        layer._source = None
+        return layer
+
+    def select(self, keep: np.ndarray) -> "_Layer":
+        """The gates where the boolean array ``keep`` is true, in order.
+
+        The selection passes its read check at every width at which this layer
+        passed it; at any other width it scans its own gates, numbered by their
+        position in the selection.  Its lowering and arrays are this layer's
+        rows and biases under the mask, at this layer's scale, so they equal
+        its own lowering when every kept gate has that scale, as in a layer of
+        hinges whose weights are all -1/2.
+        """
+        positions = np.flatnonzero(keep)
+        layer = _Layer(map(self.__getitem__, positions.tolist()))
+        layer._source = (self, positions)
         return layer
 
     def check_reads(self, width: int, k: int) -> None:
@@ -185,20 +201,32 @@ class _Layer(tuple):
             return
         if not self:
             raise WireError(f"layer {k} is empty")
-        prev = _positions(width)
-        for j, gate in enumerate(self, start=1):
-            if not prev >= gate.form.weights.keys():
-                raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
+        if self._source is None or width not in self._source[0]._checked:
+            prev = _positions(width)
+            for j, gate in enumerate(self, start=1):
+                if not prev >= gate.form.weights.keys():
+                    raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
         self._checked.add(width)
 
-    def lowered(self, width: int) -> tuple[list[list[int]], list[int], int, set[tuple[int, int]]]:
-        """(rows, biases, scale, bound terms) over ``width`` positions: the
-        gates' `_lower_forms`, and the distinct (sum of |row|, |bias|) pairs
-        the static bound reads.  Shared; must not be mutated."""
+    def lowered(
+        self, width: int
+    ) -> tuple[list[list[int]], list[int], int, list[tuple[int, int]], set[tuple[int, int]]]:
+        """(rows, biases, scale, gate terms, bound terms) over ``width``
+        positions: the gates' `_lower_forms`, each gate's (sum of |row|, |bias|),
+        and the distinct such pairs, which the static bound reads.  Shared; must
+        not be mutated."""
         if width not in self._lowerings:
-            rows, biases, scale, abs_sums = _lower_forms([g.form for g in self], width)
-            terms = set(zip(abs_sums, map(abs, biases)))
-            self._lowerings[width] = (rows, biases, scale, terms)
+            if self._source is None:
+                rows, biases, scale, abs_sums = _lower_forms([g.form for g in self], width)
+                gate_terms = list(zip(abs_sums, map(abs, biases)))
+            else:
+                source, positions = self._source
+                rows, biases, scale, gate_terms, _ = source.lowered(width)
+                pick = positions.tolist()
+                rows, biases, gate_terms = (
+                    list(map(part.__getitem__, pick)) for part in (rows, biases, gate_terms)
+                )
+            self._lowerings[width] = (rows, biases, scale, gate_terms, set(gate_terms))
         return self._lowerings[width]
 
     def arrays(self, width: int, dtype: np.dtype) -> tuple:
@@ -206,15 +234,27 @@ class _Layer(tuple):
         of ``dtype``.  Shared; must not be mutated."""
         key = (width, dtype)
         if key not in self._arrays:
-            rows, biases, scale, _ = self.lowered(width)
-            kinds = tuple(g.kind for g in self)
-            self._arrays[key] = (
-                np.array(rows, dtype=dtype),
-                np.array(biases, dtype=dtype),
-                scale,
-                kinds,
-                all(kind is GateKind.RELU for kind in kinds),
-            )
+            if self._source is None:
+                rows, biases, scale, _, _ = self.lowered(width)
+                kinds = tuple(g.kind for g in self)
+                self._arrays[key] = (
+                    np.array(rows, dtype=dtype),
+                    np.array(biases, dtype=dtype),
+                    scale,
+                    kinds,
+                    all(kind is GateKind.RELU for kind in kinds),
+                )
+            else:
+                source, positions = self._source
+                rows, biases, scale, kinds, relu_only = source.arrays(width, dtype)
+                kinds = tuple(map(kinds.__getitem__, positions.tolist()))
+                self._arrays[key] = (
+                    rows[positions],
+                    biases[positions],
+                    scale,
+                    kinds,
+                    relu_only or all(kind is GateKind.RELU for kind in kinds),
+                )
         return self._arrays[key]
 
 
@@ -320,16 +360,6 @@ def vertex(n: int, index: int) -> tuple[int, ...]:
     return tuple(1 - 2 * ((index >> i) & 1) for i in range(n))
 
 
-def vertex_index(x: Sequence[int]) -> int:
-    idx = 0
-    for i, v in enumerate(x):
-        if v == -1:
-            idx |= 1 << i
-        elif v != 1:
-            raise ArityError(f"coordinate {i + 1} is {v}, expected +1 or -1")
-    return idx
-
-
 def cube_matrix(n: int, dtype=np.int64) -> np.ndarray:
     """(n, 2^n) matrix whose column j is the vertex with index j."""
     return _cube_slab(n, 0, 1 << n).astype(dtype)
@@ -404,7 +434,14 @@ class TruthTable:
 # hidden layer (`_Layer`) lowers itself once per width of the layer it reads
 # and keeps the result, so circuits sharing a layer object share its rows and
 # arrays; a circuit adds only its static bound and its output and skip rows
-# (``Circuit._lowered``).
+# (``Circuit._lowered``).  A layer made by `_Layer.select` takes its read
+# check, rows and arrays from the layer it was selected from, under its mask.
+# So the Fourier route checks, lowers and tabulates every hinge gate of an
+# arity n <= _CACHE_BITS once (`constructions._fourier_layer`: 6143 gates at
+# n = 10, a one-time cost of about 0.1 s on 2 cores, and 28671 at n = 12,
+# about 0.5 s), and each table's layer is the selection of its nonzero
+# blocks.  Above _CACHE_BITS each table builds and lowers its own blocks, so
+# a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
 #
 # `truth_table` walks the cube in slabs (`_cube_forwards`) of the largest
 # power-of-two number of vertices whose product with the widest hidden layer
@@ -478,7 +515,7 @@ class _Lowering:
         bound = 1
         den = 1
         for layer in circuit.layers:
-            _, _, scale, terms = layer.lowered(prev_width)
+            _, _, scale, _, terms = layer.lowered(prev_width)
             # the per-gate bound, over the layer's distinct (sum |row|, |bias|)
             new_bound = max((s * bound + b * den * scale for s, b in terms), default=0)
             den *= scale

@@ -63,7 +63,11 @@ def random_agreement_probe(
     n_points = 1 << n
     threshold = (Fraction(1, 2) + eps) * n_points
     min_count = -((-threshold.numerator) // threshold.denominator)
-    bound = math.exp(-float(2 ** (n + 1)) * float(eps) ** 2)
+    # exp(-746) rounds to 0.0, and a larger exponent can overflow the floats
+    if 2 ** (n + 1) * eps * eps > 746:
+        bound = 0.0
+    else:
+        bound = math.exp(-float(2 ** (n + 1)) * float(eps) ** 2)
     tail = float(_binomial_tail(n_points, min_count))
     # the float bound is within a relative 1e-12 of the true value while it is
     # normal (its exponent, below 746 in magnitude, is rounded three times),

@@ -27,7 +27,6 @@ from relucirc import (
     universal_fourier,
     universal_vertex_indicators,
     vertex,
-    vertex_index,
 )
 from relucirc import circuit as circuit_module
 from relucirc.circuit import _full_cube
@@ -166,22 +165,26 @@ def test_depth_width_size_counters():
 # ---------------------------------------------------------------------------
 # vertex indexing
 
+def _minus_bits(x):
+    return sum(1 << i for i, v in enumerate(x) if v == -1)
+
+
 def test_all_plus_one_vertex_has_index_zero():
     for n in range(1, 8):
-        assert vertex_index((1,) * n) == 0
         assert vertex(n, 0) == (1,) * n
 
 
 def test_index_round_trip_up_to_n16():
     for n in (1, 2, 3, 8, 16):
         for idx in range(1 << n):
-            assert vertex_index(vertex(n, idx)) == idx
+            x = vertex(n, idx)
+            assert set(x) <= {1, -1} and _minus_bits(x) == idx
 
 
 def test_index_is_little_endian_in_the_minus_bits():
     # x1 = -1 alone sets the lowest bit
-    assert vertex_index((-1, 1, 1)) == 1
-    assert vertex_index((1, 1, -1)) == 4
+    assert vertex(3, 1) == (-1, 1, 1)
+    assert vertex(3, 4) == (1, 1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from relucirc import (
     vertex,
     walsh_hadamard,
 )
-from relucirc.constructions import _vertex_layer
+import relucirc.constructions as constructions
+from relucirc.circuit import _Layer, forward_on_cube
+from relucirc.constructions import _fourier_layer, _vertex_layer
 from relucirc.serialize import circuit_from_json, circuit_to_json
 
 from conftest import scalar_table
@@ -82,7 +84,7 @@ def test_transform_round_trips_and_parseval_holds(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     t = TruthTable(n, bits)
     exp = walsh_hadamard(t)
-    assert exp.inverse_table() == t
+    assert [exp.value(vertex(n, idx)) for idx in range(1 << n)] == t.signs()
     assert sum(c * c for c in exp.coefficients.values()) == 1
 
 
@@ -370,3 +372,94 @@ def test_vertex_route_circuits_share_one_lowered_layer():
     assert truth_table(fresh) == truth_table(first) == TruthTable(4, 0x6996)
     assert fresh._lowered.arrays(np.float64)[0][0] is not first_layer
 
+
+
+def _same_arrays(got, want):
+    """Two `_Layer.arrays` tuples hold equal rows and biases of one dtype."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert {type(v) for v in a.flat} == {type(v) for v in b.flat}
+    assert got[2:] == want[2:]
+
+
+def test_a_selected_layer_lowers_like_a_layer_of_its_gates():
+    layer, gate_masks = _fourier_layer(4)
+    rng = random.Random(12)
+    keeps = [
+        np.ones(len(layer), dtype=bool),
+        gate_masks == 11,
+        np.arange(len(layer)) == 7,
+        *(np.array([rng.random() < 0.4 for _ in layer]) for _ in range(4)),
+    ]
+    for keep in keeps:
+        selected = layer.select(keep)
+        plain = _Layer(tuple(g for g, k in zip(layer, keep) if k))
+        assert selected == plain and repr(selected) == repr(plain)
+        assert selected.lowered(4) == plain.lowered(4)
+        for dtype in (np.float64, np.int64, object):
+            dtype = np.dtype(dtype)
+            _same_arrays(selected.arrays(4, dtype), plain.arrays(4, dtype))
+
+
+def test_a_selected_layer_names_its_own_gate_on_a_wrong_width_read():
+    layer, gate_masks = _fourier_layer(4)
+    out = Gate(GateKind.SUM, affine({0: 1}))
+    # blocks {x1, x2} and {x3}: gate 4 of the selection (8 of the layer)
+    # is the first to read x3, position 2
+    selected = layer.select((gate_masks == 3) | (gate_masks == 4))
+    with pytest.raises(WireError, match=r"gate 4 of layer 1: \[2\]"):
+        Circuit(2, (selected,), out)
+    Circuit(4, (selected,), out)
+    with pytest.raises(WireError, match="layer 1 is empty"):
+        Circuit(4, (layer.select(gate_masks == 0),), out)
+
+
+def test_fourier_route_selects_from_one_layer_per_arity():
+    first, second = (universal_fourier(TruthTable(5, bits)) for bits in (0x9F767C45, 0x1234ABCD))
+    layer, _ = _fourier_layer(5)
+    assert truth_table(first) == TruthTable(5, 0x9F767C45)
+    assert truth_table(second) == TruthTable(5, 0x1234ABCD)
+    # both took their float64 rows from the one layer of arity 5
+    assert (5, np.dtype(np.float64)) in vars(layer)["_arrays"]
+    shared = {id(g) for g in layer}
+    assert {id(g) for c in (first, second) for g in c.layers[0]} <= shared
+
+
+def _fourier_snapshot(circuit, point):
+    low = circuit._lowered
+    fwd = forward_on_cube(circuit)
+    return (
+        circuit, repr(circuit), json.dumps(circuit_to_json(circuit), sort_keys=True),
+        truth_table(circuit), evaluate(circuit, point),
+        fwd.output_pre_num.dtype, fwd.output_pre_num.tolist(), fwd.output_pre_den,
+        low.bound, low.output_den, low.products, low.use_object,
+    )
+
+
+def test_fourier_route_is_the_same_above_the_cached_arities(monkeypatch, rng):
+    tables = [TruthTable(n, rng.getrandbits(1 << n)) for n in range(9)]
+    for n in (1, 4, 7):
+        tables += [
+            TruthTable(n, 0),                                        # constant
+            TruthTable(n, sum(1 << i for i in range(1 << n) if i & 1)),  # dictator
+            TruthTable(n, sum(1 << i for i in range(1 << n) if i.bit_count() & 1)),
+        ]
+    point = (Fraction(1, 3), Fraction(-2, 5), 2, -1, Fraction(3, 7), 0, 1, Fraction(1, 2))
+    cached = [_fourier_snapshot(universal_fourier(t), point[:t.arity]) for t in tables]
+    # the per-block path, which builds each table's blocks on their own
+    monkeypatch.setattr(constructions, "_CACHE_BITS", -1)
+    misses = _fourier_layer.cache_info().misses
+    for t, want in zip(tables, cached):
+        assert _fourier_snapshot(universal_fourier(t), point[:t.arity]) == want
+    assert _fourier_layer.cache_info().misses == misses
+
+
+def test_a_sparse_table_above_the_cached_arities_builds_only_its_blocks():
+    n = 13
+    dictator = TruthTable(n, int.from_bytes(b"\xaa" * (1 << (n - 3)), "little"))
+    misses = _fourier_layer.cache_info().misses
+    c = universal_fourier(dictator)
+    assert c.widths == (2,)
+    assert _fourier_layer.cache_info().misses == misses
+    assert truth_table(c) == dictator

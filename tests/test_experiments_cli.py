@@ -1,11 +1,16 @@
 """Seeded experiment reports and the command-line surface."""
 
+import contextlib
+import io
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relucirc import (
     Circuit,
@@ -530,6 +535,25 @@ def test_cli_random_approx_bytes_match_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_cli_random_approx_huge_epsilon_gives_a_zero_bound(capsys):
+    argv = ["random-approx", "--n", "4", "--epsilon", "1e400", "--trials", "1"]
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert "Traceback" not in err
+    assert (doc["chernoffBound"], doc["exactTail"], doc["hits"]) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 4, 10])
+def test_probe_bound_near_the_underflow_is_the_float_formula(n):
+    # exponents 2^(n+1) eps^2 from 740 to 750, either side of exp's underflow
+    table = parity_table(n)
+    for k in range(740, 751):
+        eps = Fraction(math.isqrt(k * 10**12 >> (n + 1)), 10**6)
+        report = random_agreement_probe(table, eps, 1, 0, cap=n)
+        assert report["chernoffBound"] == math.exp(-float(2 ** (n + 1)) * float(eps) ** 2)
+
+
 def test_cli_random_approx_cap_and_lift(capsys):
     assert run_cli([
         "random-approx", "--n", "17", "--epsilon", "1/4", "--trials", "5",
@@ -714,6 +738,9 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "survival", "--n-list", "8", "--weight-bound", "18446744073709551616"],
     ["signrank", "random"],
     ["construct", "linear", "--weights", "1,2", "--bias", "1/0"],
+    ["construct", "universal-fourier", "--n", "3", "--table", "zz"],
+    ["construct", "universal-vertex", "--n", "-1", "--table", "0"],
+    ["random-approx", "--n", "2", "--epsilon", "-1e400", "--trials", "1"],
 ], ids=" ".join)
 def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
     for name, text in BAD_CIRCUIT_FILES.items():
@@ -751,3 +778,64 @@ def test_cli_rejects_malformed_circuit_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["refute-max", "--circuit", str(bad)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# CLI contract, over drawn argv
+
+_N_TOKENS = ["0", "1", "3", "6", "-1", "x", ""]
+_HEX_TOKENS = ["0", "6", "96", "e8", "F", "ffff", "9f767c45", "zz", "-1", "0x96", "1.5", ""]
+_ARGV_POOLS = {
+    "--epsilon": ["1/4", "1/5", "0", "100", "1e400", "1e-400", "-1/4", "-1e400", "1/0", "x"],
+    "--trials": ["1", "3", "0", "-2", "x"],
+    "--seed": ["0", "41", "-1", "x"],
+    "--reference": ["parity", "random-circuit", "circuit"],
+    "--gates": ["1", "4", "0", "-1"],
+    "--weight-bound": ["0", "4", "-1", "9223372036854775808"],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for `construct universal-*` and `random-approx`, from pools of
+    valid, boundary and malformed tokens, with optional options left out."""
+    command = draw(st.sampled_from(["universal-vertex", "universal-fourier", "random-approx"]))
+    n = draw(st.sampled_from(_N_TOKENS))
+    if command != "random-approx":
+        argv = ["construct", command]
+        if draw(st.booleans()):
+            argv += ["--n", n]
+        if n.isdigit() and draw(st.booleans()):
+            table = f"{draw(st.integers(0, (1 << (1 << int(n))) - 1)):x}"
+            table = table.zfill(max(1, (1 << int(n)) // 4))
+        else:
+            table = draw(st.sampled_from(_HEX_TOKENS))
+        if draw(st.booleans()):
+            argv += ["--table", table]
+        return argv
+    # --trials is always given: its default runs 100000 trials
+    argv = ["random-approx", "--n", n, "--trials", draw(st.sampled_from(_ARGV_POOLS["--trials"]))]
+    for option in ("--epsilon", "--seed", "--reference", "--gates", "--weight-bound"):
+        if option == "--epsilon" or draw(st.booleans()):
+            argv.append(f"{option}={draw(st.sampled_from(_ARGV_POOLS[option]))}")
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_cli_argv())
+@settings(max_examples=80, deadline=None)
+def test_cli_exits_0_2_or_3_with_one_error_line_and_the_same_bytes(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+    else:
+        assert out
+    assert _run_captured(argv) == (code, out, err)
