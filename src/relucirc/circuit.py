@@ -117,20 +117,17 @@ class AffineForm:
         """(row, bias, scale, sum of |row|): the form times ``scale``, the lcm
         of its denominators, as a dense integer row over ``width`` positions.
 
-        Cached per width in the instance dict, without the lock a
-        cached_property takes on first use; the row is shared and must not be
-        mutated.
+        Not cached: the layers that hold a form keep their own lowering
+        (`_Layer.lowered`), and a circuit its output and skip rows.
         """
-        cache = vars(self).setdefault("_rows", {})
-        if width not in cache:
-            ratios = [(pos, *w.as_integer_ratio()) for pos, w in self.weights.items()]
-            b_num, b_den = self.bias.as_integer_ratio()
-            scale = math.lcm(b_den, *(den for _, _, den in ratios))
-            row = [0] * width
-            for i, num, den in ratios:
-                row[i] = num * (scale // den)
-            cache[width] = (row, b_num * (scale // b_den), scale, sum(map(abs, row)))
-        return cache[width]
+        weights = self.weights
+        ratios = [w.as_integer_ratio() for w in weights.values()]
+        b_num, b_den = self.bias.as_integer_ratio()
+        scale = math.lcm(b_den, *{den for _, den in ratios})
+        row = [0] * width
+        for i, (num, den) in zip(weights, ratios):
+            row[i] = num * (scale // den)
+        return row, b_num * (scale // b_den), scale, sum(map(abs, row))
 
 
 class GateKind(str, Enum):
