@@ -435,10 +435,10 @@ class TruthTable:
 # check, rows and arrays from the layer it was selected from, under its mask.
 # So the Fourier route checks, lowers and tabulates every hinge gate of an
 # arity n <= _CACHE_BITS once (`constructions._fourier_layer`: 6143 gates at
-# n = 10, a one-time cost of about 0.1 s on 2 cores, and 28671 at n = 12,
-# about 0.5 s), and each table's layer is the selection of its nonzero
-# blocks.  Above _CACHE_BITS each table builds and lowers its own blocks, so
-# a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
+# n = 10, a one-time cost of 0.05 to 0.08 s on 2 cores, and 28671 gates at
+# n = 12, 0.3 to 0.45 s), and each table's layer is the selection of its
+# nonzero blocks.  Above _CACHE_BITS each table builds and lowers its own
+# blocks, so a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
 #
 # `truth_table` walks the cube in slabs (`_cube_forwards`) of the largest
 # power-of-two number of vertices whose product with the widest hidden layer
