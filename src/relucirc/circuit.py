@@ -233,25 +233,16 @@ class _Layer(tuple):
         if key not in self._arrays:
             if self._source is None:
                 rows, biases, scale, _, _ = self.lowered(width)
+                rows, biases = np.array(rows, dtype=dtype), np.array(biases, dtype=dtype)
                 kinds = tuple(g.kind for g in self)
-                self._arrays[key] = (
-                    np.array(rows, dtype=dtype),
-                    np.array(biases, dtype=dtype),
-                    scale,
-                    kinds,
-                    all(kind is GateKind.RELU for kind in kinds),
-                )
+                relu_only = all(kind is GateKind.RELU for kind in kinds)
             else:
                 source, positions = self._source
                 rows, biases, scale, kinds, relu_only = source.arrays(width, dtype)
+                rows, biases = rows[positions], biases[positions]
                 kinds = tuple(map(kinds.__getitem__, positions.tolist()))
-                self._arrays[key] = (
-                    rows[positions],
-                    biases[positions],
-                    scale,
-                    kinds,
-                    relu_only or all(kind is GateKind.RELU for kind in kinds),
-                )
+                relu_only = relu_only or all(kind is GateKind.RELU for kind in kinds)
+            self._arrays[key] = (rows, biases, scale, kinds, relu_only)
         return self._arrays[key]
 
 
