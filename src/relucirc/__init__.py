@@ -102,7 +102,6 @@ from .serialize import (
     rational_to_str,
     refutation_to_json,
     table_from_hex,
-    table_to_hex,
 )
 from .signrank import (
     BlockPartition,

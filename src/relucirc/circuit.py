@@ -23,8 +23,8 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 24  # max arity for exhaustive truth tables
 DEFAULT_MATRIX_CAP = 12       # max m for 2^m x 2^m communication matrices
 
-# Structures that depend only on the arity (cubes, table-independent gates,
-# position sets) are cached and shared up to this arity, or 2^this positions.
+# Structures that depend only on the arity (cubes, table-independent gates)
+# are cached and shared up to this arity.
 _CACHE_BITS = 12
 
 
@@ -72,18 +72,6 @@ def exact(value: Rational | str) -> Fraction:
     return Fraction(value)
 
 
-def _positions(width: int) -> frozenset[int]:
-    """The positions 0..width-1 of a layer, shared up to 2^_CACHE_BITS."""
-    if width <= 1 << _CACHE_BITS:
-        return _shared_positions(width)
-    return frozenset(range(width))
-
-
-@lru_cache(maxsize=256)
-def _shared_positions(width: int) -> frozenset[int]:
-    return frozenset(range(width))
-
-
 def affine(weights: Mapping[int, Rational], bias: Rational = 0) -> "AffineForm":
     """Build an AffineForm, coercing values and dropping zero weights."""
     w = {}
@@ -113,9 +101,10 @@ class AffineForm:
     def is_constant(self) -> bool:
         return not self.weights
 
-    def _integer_row(self, width: int) -> tuple[list[int], int, int, int]:
-        """(row, bias, scale, sum of |row|): the form times ``scale``, the lcm
-        of its denominators, as a dense integer row over ``width`` positions.
+    def _integer_row(self, width: int) -> tuple[list[int], int, int]:
+        """(row, scale, sum of |weights|): the form times ``scale``, the lcm of
+        its denominators, as a dense integer row over ``width`` positions and
+        then the bias.
 
         Not cached: the layers that hold a form keep their own lowering
         (`_Layer.lowered`), and a circuit its output and skip rows.
@@ -127,7 +116,9 @@ class AffineForm:
         row = [0] * width
         for i, (num, den) in zip(weights, ratios):
             row[i] = num * (scale // den)
-        return row, b_num * (scale // b_den), scale, sum(map(abs, row))
+        abs_sum = sum(map(abs, row))
+        row.append(b_num * (scale // b_den))
+        return row, scale, abs_sum
 
 
 class GateKind(str, Enum):
@@ -199,7 +190,7 @@ class _Layer(tuple):
         if not self:
             raise WireError(f"layer {k} is empty")
         if self._source is None or width not in self._source[0]._checked:
-            prev = _positions(width)
+            prev = frozenset(range(width))
             for j, gate in enumerate(self, start=1):
                 if not prev >= gate.form.weights.keys():
                     raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
@@ -207,42 +198,42 @@ class _Layer(tuple):
 
     def lowered(
         self, width: int
-    ) -> tuple[list[list[int]], list[int], int, list[tuple[int, int]], set[tuple[int, int]]]:
-        """(rows, biases, scale, gate terms, bound terms) over ``width``
-        positions: the gates' `_lower_forms`, each gate's (sum of |row|, |bias|),
-        and the distinct such pairs, which the static bound reads.  Shared; must
-        not be mutated."""
+    ) -> tuple[list[list[int]], int, list[tuple[int, int]], set[tuple[int, int]]]:
+        """(rows, scale, gate terms, bound terms) over ``width`` positions: the
+        gates' `_lower_forms` rows, each with its bias as a last entry, each
+        gate's (sum of |weights|, |bias|), and the distinct such pairs, which
+        the static bound reads.  Shared; must not be mutated."""
         if width not in self._lowerings:
             if self._source is None:
-                rows, biases, scale, abs_sums = _lower_forms([g.form for g in self], width)
-                gate_terms = list(zip(abs_sums, map(abs, biases)))
+                rows, scale, abs_sums = _lower_forms([g.form for g in self], width)
+                gate_terms = [(s, abs(row[-1])) for s, row in zip(abs_sums, rows)]
             else:
                 source, positions = self._source
-                rows, biases, scale, gate_terms, _ = source.lowered(width)
+                rows, scale, gate_terms, _ = source.lowered(width)
                 pick = positions.tolist()
-                rows, biases, gate_terms = (
-                    list(map(part.__getitem__, pick)) for part in (rows, biases, gate_terms)
-                )
-            self._lowerings[width] = (rows, biases, scale, gate_terms, set(gate_terms))
+                rows, gate_terms = (list(map(part.__getitem__, pick)) for part in (rows, gate_terms))
+            self._lowerings[width] = (rows, scale, gate_terms, set(gate_terms))
         return self._lowerings[width]
 
     def arrays(self, width: int, dtype: np.dtype) -> tuple:
-        """(rows, biases, scale, kinds, relu_only) with numpy rows and biases
-        of ``dtype``.  Shared; must not be mutated."""
+        """(matrix, scale, kinds, relu_only) with a numpy matrix of ``dtype``:
+        the lowered rows, biases last, over a constant row (0, ..., 0, scale),
+        which carries the next layer's bias multiplier through the kernel's
+        product.  Shared; must not be mutated."""
         key = (width, dtype)
         if key not in self._arrays:
             if self._source is None:
-                rows, biases, scale, _, _ = self.lowered(width)
-                rows, biases = np.array(rows, dtype=dtype), np.array(biases, dtype=dtype)
+                rows, scale, _, _ = self.lowered(width)
+                matrix = np.array([*rows, [0] * width + [scale]], dtype=dtype)
                 kinds = tuple(g.kind for g in self)
                 relu_only = all(kind is GateKind.RELU for kind in kinds)
             else:
                 source, positions = self._source
-                rows, biases, scale, kinds, relu_only = source.arrays(width, dtype)
-                rows, biases = rows[positions], biases[positions]
+                matrix, scale, kinds, relu_only = source.arrays(width, dtype)
+                matrix = matrix[np.append(positions, -1)]
                 kinds = tuple(map(kinds.__getitem__, positions.tolist()))
                 relu_only = relu_only or all(kind is GateKind.RELU for kind in kinds)
-            self._arrays[key] = (rows, biases, scale, kinds, relu_only)
+            self._arrays[key] = (matrix, scale, kinds, relu_only)
         return self._arrays[key]
 
 
@@ -270,17 +261,23 @@ class Circuit:
         self._validate()
 
     def _validate(self) -> None:
-        """Every weight key is a position of the layer its form reads."""
-        inputs = _positions(self.input_count)
+        """Every weight key is a position of the layer its form reads.
+
+        Each check builds its own set of positions and keeps none: a cache
+        keyed by width would fill with the table-dependent widths of Fourier
+        output gates and grow with a run's length.
+        """
         width = self.input_count
         for k, layer in enumerate(self.layers, start=1):
             layer.check_reads(width, k)
             width = len(layer)
-        prev = _positions(width)
+        prev = frozenset(range(width))
         if not prev >= self.output_gate.form.weights.keys():
             raise _read_error(self.output_gate.form, prev, "the output gate")
-        if self.skip_wires is not None and not inputs >= self.skip_wires.weights.keys():
-            raise _read_error(self.skip_wires, inputs, "the skip wires")
+        if self.skip_wires is not None:
+            inputs = frozenset(range(self.input_count))
+            if not inputs >= self.skip_wires.weights.keys():
+                raise _read_error(self.skip_wires, inputs, "the skip wires")
 
     @cached_property
     def _lowered(self) -> "_Lowering":
@@ -330,7 +327,7 @@ def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
         )
     ratios = [exact(v).as_integer_ratio() for v in point]
     x_den = math.lcm(*(den for _, den in ratios))
-    x = np.array([num * (x_den // den) for num, den in ratios], dtype=object)
+    x = np.array([*(num * (x_den // den) for num, den in ratios), x_den], dtype=object)
     fwd = _forward(circuit._lowered, x.reshape(-1, 1), x_den)
     return apply_kind(circuit.output_gate.kind, fwd.output_pre(0))
 
@@ -350,7 +347,7 @@ def vertex(n: int, index: int) -> tuple[int, ...]:
 
 def cube_matrix(n: int, dtype=np.int64) -> np.ndarray:
     """(n, 2^n) matrix whose column j is the vertex with index j."""
-    return _cube_slab(n, 0, 1 << n).astype(dtype)
+    return _cube_slab(n, 0, 1 << n)[:n].astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -431,52 +428,68 @@ class TruthTable:
 # nonzero blocks.  Above _CACHE_BITS each table builds and lowers its own
 # blocks, so a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
 #
+# Each row carries its bias as a last column, and each hidden layer's matrix
+# (`_Layer.arrays`) ends in a constant row (0, ..., 0, scale).  The kernel's
+# input ends in a constant row equal to ``x_den`` (a row of ones on the
+# cached cube), so each product adds the bias times the layer's denominator
+# itself, and its own last row, ``x_den`` times the scales so far, is the
+# next layer's bias multiplier.  The kernel thus has no bias pass of its
+# own: one product per layer, then the nonlinearities in place.
+#
 # `truth_table` walks the cube in slabs (`_cube_forwards`) of the largest
 # power-of-two number of vertices whose product with the widest hidden layer
-# is at most _SLAB_ELEMENTS = 2^18, i.e. 2 MiB of float64 values, which stay
+# is at most _SLAB_ELEMENTS = 2^17, i.e. 1 MiB of float64 values, which stay
 # in one core's L2 cache; `forward_on_cube` runs the whole cube as one slab,
-# since its callers need whole arrays.  Summed over the truth tables of the
-# universal circuits at n = 8 to 10, on 2 cores, budgets of 2^16 to 2^18 took
-# 110 to 150 ms, 2^14 took 300 ms and 2^24, one slab, 265 ms.  The cube
-# enumerator (`_forward_slab`) picks the kernel's dtype from the lowering's static bound
-# W = max(bound, output_den): float64 when W < 2^53, int64 when W < 2^62, and
-# Python-object entries otherwise, which `evaluate` always uses.  A slab of
-# fewer than _BLAS_MIN_PRODUCTS multiply-adds stays on int64 even below 2^53:
-# there a BLAS call and the casts to float64 and back cost more than numpy's
-# integer loop.  On 2 cores with OpenBLAS 0.3.31 and caches cold between
-# calls, the universal circuits took a median 43 us on int64 and 48 us on
-# float64 at n = 4 (1300 to 2400 multiply-adds), and 69 and 59 us at n = 5
-# (6300 to 21000).
+# since its callers need whole arrays.  Summed over the warm truth tables of
+# both universal circuits of random tables at n = 8, 8, 9, 9 and 10, on 2
+# cores with one BLAS thread, in three runs that interleave the budgets,
+# 2^16 and 2^17 took a median 25 to 29 ms, 2^18 took 27 to 32 ms, 2^19 and
+# 2^20 took 32 to 37 ms, and 2^15 took 41 to 44 ms (4 vertices a slab for
+# the widest n = 10 layer); 2^17 keeps a step away from that cliff.
+#
+# The cube enumerator (`_forward_slab`) picks the kernel's dtype from the
+# lowering's static bound W = max(bound, output_den): float64 when W < 2^53,
+# int64 when W < 2^62, and Python-object entries otherwise, which `evaluate`
+# always uses.  A slab of fewer than _BLAS_MIN_PRODUCTS multiply-adds stays
+# on int64 even below 2^53: there a BLAS call and the casts to float64 and
+# back cost more than numpy's integer loop.  On 2 cores with OpenBLAS 0.3.31
+# and caches cold between calls, the universal circuits took a median 43 us
+# on int64 and 48 us on float64 at n = 4 (1300 to 2400 multiply-adds), and
+# 69 and 59 us at n = 5 (6300 to 21000).
 #
 # The float64 path is exact.  The inputs are +-1 and every weight, bias and
 # scale is an integer, so every intermediate, and every partial sum of every
 # dot product, is an integer whose magnitude is at most the sum of the
 # absolute products, which ``bound`` bounds; ``output_den`` bounds the scales
-# the output is multiplied by.  Below 2^53 every such integer is a float64,
-# so each product and each addition is exact whatever the summation order,
-# FMA, blocking or threading of the BLAS routine, and the products run through
-# dgemm/dgemv instead of numpy's loop for integer matrices.
+# the output is multiplied by.  The bias column adds one product per row,
+# |bias| times the denominator of the values read, which ``bound`` already
+# counts for each gate; the constant row's one nonzero product is that
+# denominator times the layer's scale, the next denominator, which ``bound``
+# also counts (it bounds the scaled LTF outputs).  Below 2^53 every such
+# integer is a float64, so each product and each addition is exact whatever
+# the summation order, FMA, blocking or threading of the BLAS routine, and the
+# products run through dgemm/dgemv instead of numpy's loop for integer
+# matrices.  The int64 path rests on the same count below 2^62.
 
 _FLOAT64_EXACT = 1 << 53
 _BLAS_MIN_PRODUCTS = 1 << 12
 _INT64_SAFE = 1 << 62
-_SLAB_ELEMENTS = 1 << 18
+_SLAB_ELEMENTS = 1 << 17
 
 
 def _lower_forms(
     forms: Sequence[AffineForm], width: int
-) -> tuple[list[list[int]], list[int], int, list[int]]:
-    """Integer rows and biases over the forms' common scale (the lcm of all
+) -> tuple[list[list[int]], int, list[int]]:
+    """Integer rows, biases last, over the forms' common scale (the lcm of all
     their denominators), with each row's absolute weight sum."""
     lowered = [f._integer_row(width) for f in forms]
-    scale = math.lcm(*{s for _, _, s, _ in lowered})
-    rows, biases, abs_sums = [], [], []
-    for row, bias, s, abs_sum in lowered:
+    scale = math.lcm(*{s for _, s, _ in lowered})
+    rows, abs_sums = [], []
+    for row, s, abs_sum in lowered:
         m = scale // s
         rows.append(row if m == 1 else [v * m for v in row])
-        biases.append(bias * m)
         abs_sums.append(abs_sum * m)
-    return rows, biases, scale, abs_sums
+    return rows, scale, abs_sums
 
 
 class _Lowering:
@@ -503,7 +516,7 @@ class _Lowering:
         bound = 1
         den = 1
         for layer in circuit.layers:
-            _, _, scale, _, terms = layer.lowered(prev_width)
+            _, scale, _, terms = layer.lowered(prev_width)
             # the per-gate bound, over the layer's distinct (sum |row|, |bias|)
             new_bound = max((s * bound + b * den * scale for s, b in terms), default=0)
             den *= scale
@@ -515,21 +528,19 @@ class _Lowering:
             products += len(layer) * prev_width
             prev_width = len(layer)
 
-        (out_row,), (out_bias,), out_scale, (out_abs,) = _lower_forms(
-            [circuit.output_gate.form], prev_width
-        )
+        # each row ends in its bias, which the constant row of the values it
+        # reads multiplies
+        (out_row,), out_scale, (out_abs,) = _lower_forms([circuit.output_gate.form], prev_width)
         if circuit.skip_wires is not None:
-            (skip_row,), (skip_bias,), skip_scale, (skip_abs,) = _lower_forms(
-                [circuit.skip_wires], n
-            )
+            (skip_row,), skip_scale, (skip_abs,) = _lower_forms([circuit.skip_wires], n)
         else:
-            skip_row, skip_bias, skip_scale, skip_abs = [0] * n, 0, 1, 0
-        self.output = (out_row, out_bias, out_scale)
-        self.skip = (skip_row, skip_bias, skip_scale)
+            skip_row, skip_scale, skip_abs = [0] * (n + 1), 1, 0
+        self.output = (out_row, out_scale)
+        self.skip = (skip_row, skip_scale)
         out_bound = (
             out_abs * bound * skip_scale
-            + (skip_abs + abs(skip_bias)) * den * out_scale
-            + abs(out_bias) * den * skip_scale
+            + (skip_abs + abs(skip_row[-1])) * den * out_scale
+            + abs(out_row[-1]) * den * skip_scale
         )
         self.bound = max(bound, out_bound)
         self.output_den = den * out_scale * skip_scale
@@ -540,15 +551,15 @@ class _Lowering:
         self._arrays: dict[np.dtype, tuple] = {}
 
     def arrays(self, dtype) -> tuple:
-        """(layers, output, skip) with numpy rows of the given dtype: float64,
-        int64 or object.  Each hidden layer's entry is `_Layer.arrays`, shared
-        by every circuit that holds the layer."""
+        """(layers, output, skip) with numpy rows, biases last, of the given
+        dtype: float64, int64 or object.  Each hidden layer's entry is
+        `_Layer.arrays`, shared by every circuit that holds the layer; the
+        output and skip entries are (row, scale)."""
         dtype = np.dtype(dtype)
         if dtype not in self._arrays:
             layers = tuple(layer.arrays(width, dtype) for layer, width in self.layers)
             out, skip = (
-                (np.array(row, dtype=dtype), bias, scale)
-                for row, bias, scale in (self.output, self.skip)
+                (np.array(row, dtype=dtype), scale) for row, scale in (self.output, self.skip)
             )
             self._arrays[dtype] = (layers, out, skip)
         return self._arrays[dtype]
@@ -574,44 +585,38 @@ def _forward(
     """Exact forward pass on the columns of x, integer numerators over x_den.
 
     x holds float64, int64 or Python-int (object) entries, and the circuit's
-    rows follow its dtype.  Object entries are always exact.  On +-1 inputs
-    with ``x_den`` 1, int64 is exact while the lowering's static bound stays
-    below 2^62 and float64 while it stays below 2^53 (see the section comment
-    above); `_forward_slab` chooses among the three.
+    rows follow its dtype.  Its last row is the constant x_den, which the
+    bias column of each row multiplies.  Object entries are always exact.
+    On +-1 inputs with ``x_den`` 1, int64 is exact while the lowering's
+    static bound stays below 2^62 and float64 while it stays below 2^53 (see
+    the section comment above); `_forward_slab` chooses among the three.
     """
-    layers, (w_out, out_bias, out_scale), (w_skip, skip_bias, skip_scale) = (
-        low.arrays(x.dtype)
-    )
+    layers, (w_out, out_scale), (w_skip, skip_scale) = low.arrays(x.dtype)
     values = x
     depth_scale = 1  # product of the hidden layers' scales
-    last_hidden = None
-    for w, b, scale, kinds, relu_only in layers:
+    for w, scale, kinds, relu_only in layers:
         # the product is a fresh array, never x (which may be a cached,
-        # read-only cube), so the bias and the nonlinearities go in place
-        raw = w.dot(values)
-        raw += (b * (x_den * depth_scale))[:, None]
+        # read-only cube), so the nonlinearities go in place; its last row,
+        # x_den times the scales so far, is positive, so ReLU keeps it.
+        # matmul, not dot: on int64 numpy's matmul loop beats dot's inner
+        # product per entry (39 against 56 us for a 3-gate layer over 1681
+        # grid points), and on float64 both call BLAS
+        values = w @ values
         depth_scale *= scale
         if relu_only:
-            np.maximum(raw, 0, out=raw)
+            np.maximum(values, 0, out=values)
         else:
-            # a 0-d array of the layer's dtype keeps a denominator beyond
-            # int64 exact on the object path
-            ltf_den = np.array(x_den * depth_scale, dtype=raw.dtype)
+            # the constant row is the layer's denominator, an LTF's +-1
+            ltf_den = values[-1]
             for g, kind in enumerate(kinds):
                 if kind is GateKind.RELU:
-                    np.maximum(raw[g], 0, out=raw[g])
+                    np.maximum(values[g], 0, out=values[g])
                 elif kind is GateKind.LTF:
-                    raw[g] = np.where(raw[g] >= 0, ltf_den, -ltf_den)
-        values = raw
-    if keep_last_hidden and layers:
-        last_hidden = values
+                    values[g] = np.where(values[g] >= 0, ltf_den, -ltf_den)
 
     den = x_den * depth_scale
-    pre = (
-        w_out.dot(values) * skip_scale
-        + (w_skip.dot(x) + skip_bias * x_den) * (depth_scale * out_scale)
-        + out_bias * (den * skip_scale)
-    )
+    pre = w_out.dot(values) * skip_scale + w_skip.dot(x) * (depth_scale * out_scale)
+    last_hidden = values[:-1] if keep_last_hidden and layers else None
     return CubeForward(
         output_pre_num=pre,
         output_pre_den=den * out_scale * skip_scale,
@@ -652,7 +657,8 @@ def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:
 
     A slab has the largest power-of-two number of vertices whose product with
     the widest hidden layer is at most _SLAB_ELEMENTS, so a layer's values fit
-    in cache; a circuit without hidden layers takes 2^18 vertices a slab.
+    in cache; a circuit without hidden layers takes _SLAB_ELEMENTS vertices a
+    slab.
     """
     n = circuit.input_count
     widest = max(circuit.widths, default=1)
@@ -662,7 +668,8 @@ def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:
 
 
 def _cube_slab(n: int, start: int, stop: int) -> np.ndarray:
-    """int64 (n, stop - start) matrix of the vertices start..stop-1.
+    """int64 (n + 1, stop - start) matrix of the vertices start..stop-1 over
+    a last row of ones, the kernel's constant row for ``x_den`` 1.
 
     Slabs of cubes of small arity are views of a cached, read-only cube.
     """
@@ -673,9 +680,7 @@ def _cube_slab(n: int, start: int, stop: int) -> np.ndarray:
 
 def _make_cube_slab(n: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
-    if n == 0:
-        return np.zeros((0, stop - start), dtype=np.int64)
-    return np.stack([1 - 2 * ((idx >> i) & 1) for i in range(n)])
+    return np.stack([*(1 - 2 * ((idx >> i) & 1) for i in range(n)), np.ones_like(idx)])
 
 
 @lru_cache(maxsize=None)

@@ -355,10 +355,10 @@ def first_grid_mismatch(
     max{0, x1, x2} differ, if any.
 
     Each slab of grid points runs through the circuit's integer kernel as
-    the columns of x = (k1, k2) * sn over x_den = sd.  Inputs then have
-    magnitude at most mu = max(count * sn, sd), which scales the lowering's
-    static bound by mu; the int64 path is taken only when that stays below
-    2^62.
+    the columns of x = (k1 * sn, k2 * sn, sd) over x_den = sd, the last row
+    being the kernel's constant row.  Inputs then have magnitude at most
+    mu = max(count * sn, sd), which scales the lowering's static bound by
+    mu; the int64 path is taken only when that stays below 2^62.
     """
     if circuit.input_count != 2:
         raise ArityError("expected a circuit on two inputs")
@@ -370,7 +370,7 @@ def first_grid_mismatch(
     target = sn * low.output_den
     kind = circuit.output_gate.kind
     for k1, k2 in _grid_slabs(count, use_object):
-        fwd = _forward(low, np.stack([k1 * sn, k2 * sn]), sd)
+        fwd = _forward(low, np.stack([k1 * sn, k2 * sn, np.full_like(k1, sd)]), sd)
         got, den = fwd.output_pre_num, fwd.output_pre_den
         if kind is GateKind.RELU:
             got = np.maximum(got, 0)

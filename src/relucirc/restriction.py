@@ -105,8 +105,8 @@ def _classes(zero: np.ndarray, linear: np.ndarray) -> list[Removability]:
 def removability(form: AffineForm, rho: Restriction) -> Removability:
     if any(not 0 <= pos < rho.arity for pos in form.weights):
         raise ArityError(f"form reads an input beyond restriction arity {rho.arity}")
-    row, bias, _, _ = form._integer_row(rho.arity)
-    _, zero, linear = collapse_rule(np.array([row], dtype=object), [bias], *_fixed_signs(rho))
+    row = np.array([form._integer_row(rho.arity)[0]], dtype=object)
+    _, zero, linear = collapse_rule(row[:, :-1], row[:, -1], *_fixed_signs(rho))
     return _classes(zero, linear)[0]
 
 
@@ -153,12 +153,11 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     # the bottom layer and the skip wires fold through the one integer rule;
     # kept forms retain their Fraction weights over the folded bias
     low = circuit._lowered
-    layers, _, (skip_row, skip_bias, skip_scale) = low.arrays(
-        object if low.use_object else np.int64
-    )
-    rows, biases, scale = layers[0][:3]
+    layers, _, (skip_row, skip_scale) = low.arrays(object if low.use_object else np.int64)
+    # rows end in their biases; the bottom layer's last row is its constant row
+    bottom_rows, scale = layers[0][:2]
     fixed, signs = _fixed_signs(rho)
-    folded_b, zero, lin = collapse_rule(rows, biases, fixed, signs)
+    folded_b, zero, lin = collapse_rule(bottom_rows[:-1, :-1], bottom_rows[:-1, -1], fixed, signs)
     classes = _classes(zero, lin)
     folded = [
         None if c is Removability.CONSTANT_ZERO
@@ -169,7 +168,7 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     removed, linear, alive = (
         tuple(i for i, c in zip(ids, classes) if c is kind) for kind in Removability
     )
-    (skip_num,), _, _ = collapse_rule(skip_row[None, :], [skip_bias], fixed, signs)
+    (skip_num,), _, _ = collapse_rule(skip_row[None, :-1], skip_row[-1:], fixed, signs)
     skip = _free_part(
         circuit.skip_wires or AffineForm({}), Fraction(int(skip_num), skip_scale), new_index
     )

@@ -192,10 +192,6 @@ def load_circuit(path: str) -> Circuit:
     return circuit_from_json(doc)
 
 
-def table_to_hex(table: TruthTable) -> str:
-    return table.to_hex()
-
-
 def table_from_hex(arity: int, text: str) -> TruthTable:
     try:
         return TruthTable.from_hex(arity, text)

@@ -1,5 +1,7 @@
 """Core circuit representation: exact evaluation, truth tables, simplify."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,7 @@ from relucirc import (
     vertex,
 )
 from relucirc import circuit as circuit_module
-from relucirc.circuit import _full_cube
+from relucirc.circuit import _full_cube, cube_matrix
 
 from conftest import (
     random_circuit,
@@ -147,6 +149,19 @@ def test_forms_must_read_positions_of_the_layer_below():
         Circuit(1, ((Gate(GateKind.RELU, affine({-1: Fraction(1)}, 0)),),), out)
     with pytest.raises(WireError):
         Circuit(1, ((Gate(GateKind.RELU, affine({"x1": Fraction(1)}, 0)),),), out)
+
+
+def test_read_check_takes_the_keys_equal_to_a_position():
+    # True and Fraction(1) equal position 1; a half does not
+    for key in (True, Fraction(1)):
+        Circuit(2, (), Gate(GateKind.SUM, affine({key: 3})), affine({key: 1}))
+    gates = (Gate(GateKind.RELU, affine({0: 1})),) * 3
+    with pytest.raises(WireError, match=r"^the output gate: \[3\] not among the 3 positions"):
+        Circuit(1, (gates,), Gate(GateKind.SUM, affine({3: 1, 2: 1})))
+    with pytest.raises(WireError, match=r"^the skip wires: \[Fraction\(1, 2\)\] not among the 2"):
+        Circuit(2, (), Gate(GateKind.SUM, affine({0: 1})), affine({Fraction(1, 2): 1}))
+    with pytest.raises(WireError, match=r"^gate 2 of layer 2: \[-1, 3\] not among the 3"):
+        Circuit(1, (gates, (gates[0], Gate(GateKind.SUM, affine({3: 1, -1: 1})))), gates[0])
 
 
 def test_depth_width_size_counters():
@@ -450,13 +465,18 @@ def test_float64_path_matches_scalar_table_on_random_circuits(rng, kernel_dtypes
 
 # ---------------------------------------------------------------------------
 # cube slabs: the largest power-of-two vertex count whose product with the
-# widest hidden layer is at most 2^18
+# widest hidden layer is at most _SLAB_ELEMENTS
+
+def _slab_size(widest):
+    budget = circuit_module._SLAB_ELEMENTS
+    slab = budget
+    while slab * widest > budget:
+        slab //= 2
+    return slab
+
 
 def _slab_count(n, widest):
-    slab = 1 << 18
-    while slab * widest > 1 << 18:
-        slab //= 2
-    return max(1, (1 << n) // slab)
+    return max(1, (1 << n) // _slab_size(widest))
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -464,8 +484,8 @@ def test_universal_routes_tabulate_wide_layers_in_float64_slabs(rng, kernel_dtyp
     table = TruthTable(n, rng.getrandbits(1 << n))
     vertex_c = universal_vertex_indicators(table)
     assert truth_table(vertex_c) == table
-    # 2^n gates: one slab of 512 vertices at n = 9, four of 256 at n = 10
-    assert len(kernel_dtypes) == {9: 1, 10: 4}[n]
+    # one gate per vertex
+    assert len(kernel_dtypes) == _slab_count(n, 1 << n) > 1
     kernel_dtypes.clear()
     fourier_c = universal_fourier(table)
     assert truth_table(fourier_c) == table
@@ -480,15 +500,131 @@ def test_truth_table_across_a_slab_boundary_matches_the_oracle(rng, kernel_dtype
                                    rng.randint(-2, 1)))
         for i in range(n)
     ]
-    # constant SUM gates widen the layer past 1024, so the slabs hold 128
-    # vertices, and cost the scalar oracle little
+    # constant SUM gates widen the layer past 1024, so the cube takes more
+    # than one slab, and cost the scalar oracle little
     hidden = tuple(gates) + (Gate(GateKind.SUM, affine({})),) * 1020
     out = Gate(GateKind.LTF, affine({i: rng.choice((-3, -1, 1, 2)) for i in range(n)}))
     c = Circuit(n, (hidden,), out, affine({7: 1}))
+    slab = _slab_size(len(hidden))
     table = truth_table(c)
-    assert kernel_dtypes == [np.float64] * 2
+    assert kernel_dtypes == [np.float64] * _slab_count(n, len(hidden))
+    assert len(kernel_dtypes) > 1
     assert table == scalar_table(c)
-    assert 0 < (table.bits >> 128).bit_count() < 128
+    # both signs past the first slab boundary
+    assert 0 < (table.bits >> slab).bit_count() < (1 << n) - slab
+
+
+# ---------------------------------------------------------------------------
+# the constant row: each layer's matrix holds its biases as a last column over
+# a row (0, ..., 0, scale), and the kernel's input ends in a row of x_den
+
+def test_layer_arrays_hold_the_biases_last_over_the_constant_row():
+    layer = circuit_module._Layer((
+        Gate(GateKind.RELU, affine({0: 1, 2: Fraction(-1, 2)}, Fraction(1, 3))),
+        Gate(GateKind.LTF, affine({}, -2)),
+        Gate(GateKind.SUM, affine({1: Fraction(3, 4)})),
+    ))
+    for dtype in (np.float64, np.int64, object):
+        matrix, scale, kinds, relu_only = layer.arrays(3, np.dtype(dtype))
+        assert matrix.dtype == dtype and scale == 12
+        assert matrix.tolist() == [
+            [12, 0, -6, 4],
+            [0, 0, 0, -24],
+            [0, 9, 0, 0],
+            [0, 0, 0, 12],
+        ]
+        assert kinds == (GateKind.RELU, GateKind.LTF, GateKind.SUM) and not relu_only
+
+
+def _mixed_layer(width, scale):
+    return (
+        Gate(GateKind.RELU, affine({0: scale, 1: Fraction(-1, 2), width - 1: 1},
+                                   Fraction(scale, 3))),
+        Gate(GateKind.LTF, affine({1: 1, 2: -scale}, -1)),
+        Gate(GateKind.SUM, affine({0: Fraction(3, 7), 2: 1}, Fraction(-1, 4))),
+        Gate(GateKind.RELU, affine({width - 1: -2}, 1)),
+    )
+
+
+def _constant_layer(scale):
+    # a positive and a zeroed ReLU, an LTF at -1 and a SUM: no gate reads anything
+    return (
+        Gate(GateKind.RELU, affine({}, Fraction(3 * scale, 2))),
+        Gate(GateKind.RELU, affine({}, -scale)),
+        Gate(GateKind.LTF, affine({}, Fraction(-1, 3))),
+        Gate(GateKind.SUM, affine({}, Fraction(-5 * scale, 7))),
+    )
+
+
+def _depth_3(shape, scale):
+    """Two hidden layers of four gates, mixed or constant, under a SUM output
+    with biases everywhere and skip wires; ``scale`` sets the bound."""
+    first = _mixed_layer(WIDE, scale) if shape[0] == "mixed" else _constant_layer(scale)
+    second = _mixed_layer(4, 1) if shape[1] == "mixed" else _constant_layer(1)
+    out = Gate(GateKind.SUM, affine({0: 2, 1: Fraction(1, 5), 3: -1}, Fraction(1, 6)))
+    return Circuit(WIDE, (first, second), out, affine({0: scale, 6: -1}, Fraction(1, 2)))
+
+
+DEPTH_3_SHAPES = [("mixed", "mixed"), ("constant", "mixed"), ("mixed", "constant")]
+# the bound lands below 2^53, in [2^53, 2^62) and past 2^62 for every shape
+DEPTH_3_SCALES = [(1, np.float64), (2**34, np.int64), (2**48, object)]
+
+
+@pytest.mark.parametrize("shape", DEPTH_3_SHAPES)
+@pytest.mark.parametrize("scale, dtype", DEPTH_3_SCALES)
+def test_depth_3_circuits_match_the_oracle_on_every_dtype(kernel_dtypes, shape, scale, dtype):
+    c = _depth_3(shape, scale)
+    fwd = forward_on_cube(c, keep_last_hidden=True)
+    assert kernel_dtypes == [dtype]
+    assert fwd.last_hidden_num.shape == (4, 1 << WIDE)
+    for i in range(1 << WIDE):
+        point = vertex(WIDE, i)
+        assert fwd.output_pre(i) == scalar_forward(c, point)
+        hidden = [Fraction(int(v), fwd.last_hidden_den) for v in fwd.last_hidden_num[:, i]]
+        assert hidden == scalar_hidden(c, point)
+
+
+def test_evaluate_matches_the_oracle_at_points_with_a_common_denominator(rng):
+    for shape in DEPTH_3_SHAPES:
+        for scale, _ in DEPTH_3_SCALES:
+            c = _depth_3(shape, scale)
+            for _ in range(5):
+                p = (Fraction(1, 3),) + tuple(
+                    Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(WIDE - 1)
+                )
+                assert evaluate(c, p) == scalar_evaluate(c, p)
+    # no hidden layers: the output and skip biases ride on the row of x_den
+    c = Circuit(2, (), Gate(GateKind.SUM, affine({0: 2, 1: -1}, Fraction(1, 3))),
+                affine({1: 1}, Fraction(-1, 5)))
+    assert evaluate(c, (Fraction(1, 2), Fraction(2, 3))) == Fraction(17, 15)
+
+
+def test_cube_matrix_leaves_out_the_constant_row():
+    assert cube_matrix(2).tolist() == [[1, -1, 1, -1], [1, 1, -1, -1]]
+    assert cube_matrix(0).shape == (0, 1)
+    assert _full_cube(2)[-1].tolist() == [1] * 4
+
+
+def test_repeated_fourier_builds_hold_no_more_memory(rng):
+    # the read check keeps no set of positions per width, so a run of Fourier
+    # circuits, whose output widths differ table by table, does not grow
+    def build(rounds):
+        for _ in range(rounds):
+            for n in (8, 9):
+                universal_fourier(TruthTable(n, rng.getrandbits(1 << n)))
+
+    build(5)
+    tracemalloc.start()
+    try:
+        build(2)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        build(20)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

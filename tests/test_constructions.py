@@ -375,12 +375,13 @@ def test_vertex_route_circuits_share_one_lowered_layer():
 
 
 def _same_arrays(got, want):
-    """Two `_Layer.arrays` tuples hold equal rows and biases of one dtype."""
-    for a, b in zip(got[:2], want[:2]):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
-        assert {type(v) for v in a.flat} == {type(v) for v in b.flat}
-    assert got[2:] == want[2:]
+    """Two `_Layer.arrays` tuples hold equal matrices of one dtype, with the
+    biases and the constant row, and the same scale, kinds and ReLU flag."""
+    a, b = got[0], want[0]
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert {type(v) for v in a.flat} == {type(v) for v in b.flat}
+    assert got[1:] == want[1:]
 
 
 def test_a_selected_layer_lowers_like_a_layer_of_its_gates():

@@ -20,7 +20,6 @@ from relucirc import (
     rational_from_str,
     rational_to_str,
     table_from_hex,
-    table_to_hex,
 )
 
 from conftest import random_circuit
@@ -232,7 +231,7 @@ def test_dump_and_load_files(tmp_path, rng):
 
 def test_table_hex_wrappers():
     t = TruthTable(4, 0x6996)
-    assert table_to_hex(t) == "6996"
+    assert t.to_hex() == "6996"
     assert table_from_hex(4, "6996") == t
     with pytest.raises(FormatError):
         table_from_hex(4, "699")  # wrong digit count
