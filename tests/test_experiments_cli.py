@@ -372,19 +372,24 @@ def test_cli_restrict_apply_bytes_match_golden(capsys, monkeypatch, name, fix):
     assert capsys.readouterr().out == (GOLDEN / f"restrict-apply_{name}.json").read_text()
 
 
+_SURVIVAL_SMALL = ["--n-list", "16,64", "--gates", "8", "--trials", "50", "--seed", "3"]
 SURVIVAL_GOLDEN = [
-    ("restrict-survival_n16,64_gates8_trials50_seed3.json", []),
-    ("restrict-survival_n16,64_gates8_trials50_seed3.csv", ["--format", "csv"]),
+    ("restrict-survival_n16,64_gates8_trials50_seed3.json", _SURVIVAL_SMALL),
+    ("restrict-survival_n16,64_gates8_trials50_seed3.csv", [*_SURVIVAL_SMALL, "--format", "csv"]),
+    # the benchmark's shape
+    ("restrict-survival_n64,1024_gates32_W4_trials300_seed5.json",
+     ["--n-list", "64,1024", "--gates", "32", "--weight-bound", "4", "--trials", "300",
+      "--seed", "5"]),
+    # W = 2^61: (n + 1) W passes 2^62, so the sums run on Python ints
+    ("restrict-survival_n16,64_gates8_W2305843009213693952_trials20_seed0.json",
+     ["--n-list", "16,64", "--gates", "8", "--weight-bound", "2305843009213693952",
+      "--trials", "20", "--seed", "0"]),
 ]
 
 
 @pytest.mark.parametrize("golden, args", SURVIVAL_GOLDEN)
 def test_cli_restrict_survival_bytes_match_golden(capsys, golden, args):
-    argv = [
-        "restrict", "survival", "--n-list", "16,64", "--gates", "8",
-        "--trials", "50", "--seed", "3", *args,
-    ]
-    assert run_cli(argv) == 0
+    assert run_cli(["restrict", "survival", *args]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
