@@ -72,13 +72,23 @@ def exact(value: Rational | str) -> Fraction:
     return Fraction(value)
 
 
+def _position(key):
+    """A weight key that equals an integer (``True``, ``Fraction(1)``) as that
+    int; any other key as it is, for the read check to reject."""
+    try:
+        pos = int(key)
+    except (TypeError, ValueError, OverflowError):
+        return key
+    return pos if pos == key else key
+
+
 def affine(weights: Mapping[int, Rational], bias: Rational = 0) -> "AffineForm":
-    """Build an AffineForm, coercing values and dropping zero weights."""
+    """Build an AffineForm, coercing keys and values and dropping zero weights."""
     w = {}
     for pos, val in weights.items():
         q = exact(val)
         if q:
-            w[pos] = q
+            w[pos if type(pos) is int else _position(pos)] = q
     return AffineForm(w, exact(bias))
 
 
@@ -447,12 +457,14 @@ class TruthTable:
 # 2^20 took 32 to 37 ms, and 2^15 took 41 to 44 ms (4 vertices a slab for
 # the widest n = 10 layer); 2^17 keeps a step away from that cliff.
 #
-# The cube enumerator (`_forward_slab`) picks the kernel's dtype from the
-# lowering's static bound W = max(bound, output_den): float64 when W < 2^53,
-# int64 when W < 2^62, and Python-object entries otherwise, which `evaluate`
-# always uses.  A slab of fewer than _BLAS_MIN_PRODUCTS multiply-adds stays
-# on int64 even below 2^53: there a BLAS call and the casts to float64 and
-# back cost more than numpy's integer loop.  On 2 cores with OpenBLAS 0.3.31
+# The cube enumerator (`_forward_slab`) picks the kernel's dtype
+# (`_kernel_dtype`) from the lowering's static bound W = max(bound,
+# output_den): float64 when W < 2^53, int64 when W < 2^62, and Python-object
+# entries otherwise, which `evaluate` always uses.  The grid check
+# (`pwl.first_grid_mismatch`) applies the same rule to W scaled by its
+# inputs' largest magnitude.  A slab of fewer than _BLAS_MIN_PRODUCTS
+# multiply-adds stays on int64 even below 2^53: there a BLAS call and the
+# casts to float64 and back cost more than numpy's integer loop.  On 2 cores with OpenBLAS 0.3.31
 # and caches cold between calls, the universal circuits took a median 43 us
 # on int64 and 48 us on float64 at n = 4 (1300 to 2400 multiply-adds), and
 # 69 and 59 us at n = 5 (6300 to 21000).
@@ -589,7 +601,7 @@ def _forward(
     bias column of each row multiplies.  Object entries are always exact.
     On +-1 inputs with ``x_den`` 1, int64 is exact while the lowering's
     static bound stays below 2^62 and float64 while it stays below 2^53 (see
-    the section comment above); `_forward_slab` chooses among the three.
+    the section comment above); `_kernel_dtype` chooses among the three.
     """
     layers, (w_out, out_scale), (w_skip, skip_scale) = low.arrays(x.dtype)
     values = x
@@ -626,29 +638,40 @@ def _forward(
     )
 
 
+def _kernel_dtype(top: int, products: int) -> type:
+    """The forward kernel's dtype for a pass whose every value is at most
+    ``top`` in magnitude and which makes ``products`` multiply-adds: float64
+    below 2^53 on at least _BLAS_MIN_PRODUCTS of them, int64 below 2^62, and
+    Python ints otherwise (see the section comment above)."""
+    if top >= _INT64_SAFE:
+        return object
+    if top >= _FLOAT64_EXACT or products < _BLAS_MIN_PRODUCTS:
+        return np.int64
+    return np.float64
+
+
+def _forward_exact(
+    low: _Lowering, x: np.ndarray, x_den: int, top: int, keep_last_hidden: bool = False
+) -> CubeForward:
+    """`_forward` on the columns of an int64 or object x, in the dtype that
+    `_kernel_dtype` picks for values at most ``top``; the numerators come back
+    as int64 or object arrays."""
+    dtype = _kernel_dtype(top, low.products * x.shape[1])
+    fwd = _forward(low, x.astype(dtype, copy=False), x_den, keep_last_hidden)
+    if dtype is np.float64:
+        fwd.output_pre_num = fwd.output_pre_num.astype(np.int64)
+        if fwd.last_hidden_num is not None:
+            fwd.last_hidden_num = fwd.last_hidden_num.astype(np.int64)
+    return fwd
+
+
 def _forward_slab(
     circuit: Circuit, x_slab: np.ndarray, keep_last_hidden: bool = False
 ) -> CubeForward:
-    """Exact forward pass on an int64 slab of +-1 vertices.
-
-    The kernel runs on float64 when the lowering's static bound keeps every
-    value below 2^53 and the slab holds at least _BLAS_MIN_PRODUCTS
-    multiply-adds, on int64 below 2^62, and on Python ints otherwise; the
-    numerators come back as int64 or object arrays.
-    """
+    """Exact forward pass on an int64 slab of +-1 vertices, whose values the
+    lowering's static bound bounds."""
     low = circuit._lowered
-    if low.use_object:
-        return _forward(low, x_slab.astype(object), 1, keep_last_hidden)
-    if (
-        max(low.bound, low.output_den) >= _FLOAT64_EXACT
-        or low.products * x_slab.shape[1] < _BLAS_MIN_PRODUCTS
-    ):
-        return _forward(low, x_slab, 1, keep_last_hidden)
-    fwd = _forward(low, x_slab.astype(np.float64), 1, keep_last_hidden)
-    fwd.output_pre_num = fwd.output_pre_num.astype(np.int64)
-    if fwd.last_hidden_num is not None:
-        fwd.last_hidden_num = fwd.last_hidden_num.astype(np.int64)
-    return fwd
+    return _forward_exact(low, x_slab, 1, max(low.bound, low.output_den), keep_last_hidden)
 
 
 def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:

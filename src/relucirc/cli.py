@@ -8,6 +8,7 @@ usage or malformed input, 3 resource cap exceeded, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -383,7 +384,10 @@ def _add_common(sub, fmt: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it as it was, and its list
+    defaults are tuples, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="relucirc",
         description="Exact ReLU/LTF circuit constructions, restrictions, and rank experiments.",
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fix", type=_fix_map,
         help="apply: fixed coordinates, e.g. '1=-1,3=+1'",
     )
-    p.add_argument("--n-list", type=_int_list, default=[64, 256, 1024])
+    p.add_argument("--n-list", type=_int_list, default=(64, 256, 1024))
     p.add_argument("--gates", type=int, default=32)
     p.add_argument("--weight-bound", type=int, default=4)
     p.add_argument("--trials", type=int, default=1000)
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("signrank", help="block structure, exact rank, and the spectral sign-rank bound")
     p.add_argument("mode", choices=("random", "function"))
     p.add_argument("--m", type=int, help="half-arity (matrix is 2^m x 2^m)")
-    p.add_argument("--widths", type=_int_list, default=[2, 2], help="random: hidden layer widths")
+    p.add_argument("--widths", type=_int_list, default=(2, 2), help="random: hidden layer widths")
     p.add_argument("--weight-bound", type=int, default=2, help="random: bottom-layer integer weight bound")
     p.add_argument("--name", choices=("inner-product", "arkadev-nikhil"))
     p.add_argument("--blocks", type=int, help="arkadev-nikhil: OR block count")
@@ -460,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceCapError as exc:

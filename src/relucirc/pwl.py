@@ -29,7 +29,7 @@ from .circuit import (
     GateKind,
     InvariantViolationError,
     Rational,
-    _forward,
+    _forward_exact,
     exact,
 )
 
@@ -358,19 +358,20 @@ def first_grid_mismatch(
     the columns of x = (k1 * sn, k2 * sn, sd) over x_den = sd, the last row
     being the kernel's constant row.  Inputs then have magnitude at most
     mu = max(count * sn, sd), which scales the lowering's static bound by
-    mu; the int64 path is taken only when that stays below 2^62.
+    mu; that scaled bound picks the kernel's dtype as on the cube: float64
+    below 2^53, int64 below 2^62, Python ints otherwise.
     """
     if circuit.input_count != 2:
         raise ArityError("expected a circuit on two inputs")
     count, sn, sd = _grid_axis(radius, step)
     low = circuit._lowered
-    mu = max(count * sn, sd)
-    use_object = mu * max(low.bound, low.output_den) >= _INT64_SAFE
+    top = max(count * sn, sd) * max(low.bound, low.output_den)
+    use_object = top >= _INT64_SAFE
     # the target's numerator over the output denominator sd * output_den
     target = sn * low.output_den
     kind = circuit.output_gate.kind
     for k1, k2 in _grid_slabs(count, use_object):
-        fwd = _forward(low, np.stack([k1 * sn, k2 * sn, np.full_like(k1, sd)]), sd)
+        fwd = _forward_exact(low, np.stack([k1 * sn, k2 * sn, np.full_like(k1, sd)]), sd, top)
         got, den = fwd.output_pre_num, fwd.output_pre_den
         if kind is GateKind.RELU:
             got = np.maximum(got, 0)

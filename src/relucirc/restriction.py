@@ -5,9 +5,11 @@ gives interval bounds L = b' - sum|w'| and U = b' + sum|w'| over the free
 cube (indeed over its whole convex hull): U <= 0 forces the ReLU to zero,
 L >= 0 makes it linear, otherwise the gate survives as a genuine nonlinearity.
 
-`collapse_rule` writes this rule once, on integer rows (forms scaled by a
-positive denominator, which keeps every sign) in exact int64 or Python-int
-arithmetic; `removability`, `apply_restriction` and the survival sweep call it.
+`_fold` writes this rule once, on integer rows (forms scaled by a positive
+denominator, which keeps every sign) in exact int64 or Python-int arithmetic.
+`collapse_rule` picks that dtype from the rows' largest entry and calls it for
+`removability` and `apply_restriction`; the survival sweep picks it once per
+input length from the weight bound and calls `_fold` on each trial's draws.
 """
 from __future__ import annotations
 
@@ -65,24 +67,37 @@ class Removability(Enum):
     SURVIVES = "SURVIVES"
 
 
+def _fold(rows, biases, signs, free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one fold/classify rule, on arrays of one dtype (int64 or object).
+
+    ``signs`` holds the fixed +-1 values and 0 on the free coordinates, whose
+    column indices are ``free``.  Returns the folded biases b' and the masks
+    b' + mass <= 0 (forced to zero) and b' - mass >= 0 (linear), mass being
+    the free weights' sum |w|; other gates survive.
+    """
+    folded = biases + rows @ signs
+    mass = np.abs(rows[:, free]).sum(axis=1)
+    return folded, folded + mass <= 0, folded - mass >= 0
+
+
 def collapse_rule(rows, biases, fixed, signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold a restriction into integer forms and classify them, exactly.
 
     ``rows`` is a (gates, n) int64 or object array and ``biases`` its biases;
     ``signs`` gives the +-1 values where the boolean mask ``fixed`` is set.
-    Returns the folded biases b' and the masks b' + mass <= 0 (forced to zero)
-    and b' - mass >= 0 (linear), mass being the free weights' sum |w|; other
-    gates survive.  Sums run in int64 when (n + 1) max|entry|, which bounds
-    sum |row| + |bias|, stays below 2^62, and on Python ints otherwise.
+    Returns `_fold`'s (b', forced-zero mask, linear mask).  Sums run in int64
+    when (n + 1) max|entry|, which bounds sum |row| + |bias|, stays below
+    2^62, and on Python ints otherwise.
     """
     biases = np.asarray(biases, dtype=rows.dtype)
     top = max(int(np.abs(rows).max(initial=0)), int(np.abs(biases).max(initial=0)))
     dtype = np.int64 if top * (rows.shape[1] + 1) < _INT64_SAFE else object
-    rows = rows.astype(dtype, copy=False)
-    # zeros off the mask: one product, no copy of the fixed columns
-    folded = biases.astype(dtype, copy=False) + rows @ np.where(fixed, signs, 0).astype(dtype)
-    mass = np.abs(rows[:, ~fixed]).sum(axis=1)
-    return folded, folded + mass <= 0, folded - mass >= 0
+    return _fold(
+        rows.astype(dtype, copy=False),
+        biases.astype(dtype, copy=False),
+        np.where(fixed, signs, 0).astype(dtype),
+        np.flatnonzero(~fixed),
+    )
 
 
 def _fixed_signs(rho: Restriction) -> tuple[np.ndarray, np.ndarray]:
@@ -316,16 +331,6 @@ def random_ltf_of_relu(
     return Circuit(n, (tuple(gates),), out)
 
 
-def _selector_style_masks(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of free coordinates: one random column per matrix row."""
-    half, rows, cols = andreev_layout(n)
-    free = np.zeros(n, dtype=bool)
-    for i in range(rows):
-        j = int(rng.integers(cols))
-        free[half + i * cols + j] = True
-    return free
-
-
 @dataclass(frozen=True)
 class SurvivalRow:
     n: int
@@ -350,7 +355,7 @@ def survival_experiment(
     Each trial draws a fresh hidden layer of `gate_count` forms with weights
     and biases uniform on the integers in [-bound, bound], restricts all but
     one matrix-row coordinate per row (everything else uniform +-1), and
-    counts the gates `collapse_rule` leaves surviving, those with |b'|
+    counts the gates `_fold` leaves surviving, those with |b'|
     strictly below the free weight mass.  Larger n leaves fewer free
     coordinates relative to the folded bias spread, so the fraction falls.
     """
@@ -366,15 +371,27 @@ def survival_experiment(
         andreev_layout(n)  # rejects n < 4 before any sampling
     rows_out = []
     for n in n_list:
-        fracs = np.empty(trials, dtype=float)
+        half, rows, cols = andreev_layout(n)
+        row_starts = half + cols * np.arange(rows)
+        weight_count = gate_count * n
+        # |b'| + mass <= (n + 1) W, so W alone picks the dtype for every trial
+        dtype = np.int64 if bound * (n + 1) < _INT64_SAFE else object
+        survivors = np.empty(trials, dtype=np.int64)
         for t in range(trials):
             rng = np.random.default_rng([seed, n, t])
-            free = _selector_style_masks(n, rng)
-            w = rng.integers(-bound, bound + 1, size=(gate_count, n))
-            b = rng.integers(-bound, bound + 1, size=gate_count)
+            free = row_starts + rng.integers(cols, size=rows)
+            # weights row by row, then the biases
+            drawn = rng.integers(-bound, bound + 1, size=weight_count + gate_count)
             signs = rng.integers(0, 2, size=n) * 2 - 1
-            _, zero, linear = collapse_rule(w, b, ~free, signs)
-            fracs[t] = float(np.mean(~(zero | linear)))
+            signs[free] = 0
+            if dtype is object:
+                drawn, signs = drawn.astype(object), signs.astype(object)
+            _, zero, linear = _fold(
+                drawn[:weight_count].reshape(gate_count, n), drawn[weight_count:], signs, free
+            )
+            survivors[t] = gate_count - np.count_nonzero(zero | linear)
+        # k / gates, the same float as the mean of a bool array with k set
+        fracs = survivors / gate_count
         mean = float(fracs.mean())
         half_width = 1.96 * float(fracs.std(ddof=1)) / float(np.sqrt(trials))
         rows_out.append(

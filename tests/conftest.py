@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from relucirc import circuit as circuit_module
 from relucirc import (
     Circuit,
     Gate,
@@ -167,3 +168,17 @@ def random_circuit(rng, n, depth, max_width, *, span=9, rational=True,
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The dtype of the inputs of each forward-kernel run."""
+    dtypes = []
+    forward = circuit_module._forward
+
+    def spy(low, x, x_den, keep_last_hidden=False):
+        dtypes.append(x.dtype)
+        return forward(low, x, x_den, keep_last_hidden)
+
+    monkeypatch.setattr(circuit_module, "_forward", spy)
+    return dtypes

@@ -164,6 +164,20 @@ def test_read_check_takes_the_keys_equal_to_a_position():
         Circuit(1, (gates, (gates[0], Gate(GateKind.SUM, affine({3: 1, -1: 1})))), gates[0])
 
 
+@pytest.mark.parametrize("key", [True, Fraction(1)])
+def test_affine_stores_a_key_equal_to_a_position_as_that_int(key):
+    (stored,) = affine({key: 3}).weights
+    assert type(stored) is int and stored == 1
+    c = Circuit(2, (), Gate(GateKind.SUM, affine({key: 3})))
+    assert [evaluate(c, p) for p in ((0, 1), (1, -1))] == [3, -3]
+    with pytest.raises(ContractError, match="not \\+-1-valued"):
+        truth_table(c)
+    signed = Circuit(2, (), Gate(GateKind.LTF, affine({key: 3})))
+    assert truth_table(signed) == scalar_table(signed)
+    # a key that is no integer stays as it is
+    assert list(affine({Fraction(1, 2): 1, "1": 1}).weights) == [Fraction(1, 2), "1"]
+
+
 def test_depth_width_size_counters():
     gates = (
         Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
@@ -338,20 +352,6 @@ def test_a_layer_of_constant_gates_keeps_the_bound_of_the_layer_below():
 # at this arity a circuit of one gate reading every input already has 2n
 # multiply-adds per vertex, 2^12 on the whole cube
 WIDE = 8
-
-
-@pytest.fixture
-def kernel_dtypes(monkeypatch):
-    """The dtype of the inputs of each forward-kernel run."""
-    dtypes = []
-    forward = circuit_module._forward
-
-    def spy(low, x, x_den, keep_last_hidden=False):
-        dtypes.append(x.dtype)
-        return forward(low, x, x_den, keep_last_hidden)
-
-    monkeypatch.setattr(circuit_module, "_forward", spy)
-    return dtypes
 
 
 def _check_on_cube(c):

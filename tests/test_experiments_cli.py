@@ -38,7 +38,7 @@ from relucirc import (
     truth_table,
 )
 from relucirc.circuit import vertex
-from relucirc.cli import main
+from relucirc.cli import build_parser, main
 from relucirc.restriction import SurvivalRow, random_ltf_of_relu
 from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_hex
 
@@ -757,6 +757,26 @@ def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path
     assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("first, second", [
+    # each leans on a list default that the other sets
+    (["signrank", "random", "--m", "2"],
+     ["signrank", "random", "--m", "2", "--widths", "3", "--seed", "1"]),
+    (["restrict", "survival", "--gates", "1", "--trials", "2"],
+     ["restrict", "survival", "--n-list", "8", "--gates", "3", "--trials", "4", "--format", "csv"]),
+    (["restrict", "survival", "--gates", "1", "--trials", "2"], ["signrank", "random", "--m", "-1"]),
+])
+def test_cli_parser_is_built_once_and_later_calls_see_a_fresh_run(capsys, first, second):
+    assert build_parser() is build_parser()
+    run_cli(first)
+    run_cli(second)
+    capsys.readouterr()
+    assert run_cli(first) == 0
+    again = capsys.readouterr()
+    build_parser.cache_clear()
+    assert run_cli(first) == 0
+    assert capsys.readouterr() == again
+
+
 BAD_ARGUMENTS = [
     (["restrict", "apply", "--circuit", "c.json", "--fix", "1=0"],
      "fix value for coordinate '1' must be +1 or -1"),
@@ -800,11 +820,34 @@ _ARGV_POOLS = {
 }
 
 
+_SURVIVAL_POOLS = {
+    "--gates": [str(g) for g in range(5)],
+    "--weight-bound": ["0", "1", str(2**61), str(2**63 - 1), str(2**63)],
+    "--seed": ["-1", "0"],
+}
+
+
 @st.composite
 def _cli_argv(draw):
-    """argv for `construct universal-*` and `random-approx`, from pools of
-    valid, boundary and malformed tokens, with optional options left out."""
-    command = draw(st.sampled_from(["universal-vertex", "universal-fourier", "random-approx"]))
+    """argv for `construct universal-*`, `random-approx` and `restrict
+    survival`, from pools of valid, boundary and malformed tokens, with
+    optional options left out."""
+    command = draw(st.sampled_from(
+        ["universal-vertex", "universal-fourier", "random-approx", "restrict-survival"]
+    ))
+    if command == "restrict-survival":
+        # lengths up to 64 and --trials always given: the defaults run
+        # lengths up to 1024 at 1000 trials
+        lengths = draw(st.lists(
+            st.one_of(st.integers(0, 64).map(str), st.sampled_from(["3", ","])),
+            min_size=1, max_size=3,
+        ))
+        argv = ["restrict", "survival", f"--n-list={','.join(lengths)}",
+                f"--trials={draw(st.integers(0, 5))}"]
+        for option, pool in _SURVIVAL_POOLS.items():
+            if draw(st.booleans()):
+                argv.append(f"{option}={draw(st.sampled_from(pool))}")
+        return argv
     n = draw(st.sampled_from(_N_TOKENS))
     if command != "random-approx":
         argv = ["construct", command]

@@ -533,6 +533,52 @@ def test_scans_of_a_grid_wider_than_one_slab(scans):
 
 
 # ---------------------------------------------------------------------------
+# the grid check's dtype: the cube kernel's rule, on the static bound times
+# the inputs' largest magnitude mu = max(count * sn, sd)
+
+def _padded_two_relus(out_weights, out_bias):
+    """ReLU(x1) and ReLU(x2) under a SUM output, with skip bias -1, and 150
+    more ReLU(x1) gates that nothing reads: 458 multiply-adds a point, 4122
+    on the 9 points of the grid of radius 1 and step 1, where mu = 1."""
+    hidden = tuple(Gate(GateKind.RELU, affine({i % 2 if i < 2 else 0: 1})) for i in range(152))
+    return Circuit(2, (hidden,), Gate(GateKind.SUM, affine(out_weights, out_bias)),
+                   affine({}, -1))
+
+
+@pytest.mark.parametrize("extra, dtype", [(0, np.float64), (1, np.int64)])
+def test_grid_check_takes_float64_only_below_2_53(kernel_dtypes, extra, dtype):
+    # bound (2^52 + 2^51 - 1) + (2^51 - 1 + extra) + 1 = 2^53 - 1 + extra
+    c = _padded_two_relus({0: 2**52, 1: 2**51 - 1}, -(2**51 - 1 + extra))
+    assert c._lowered.bound == 2**53 - 1 + extra
+    assert c._lowered.products * 9 >= 2**12
+    got = first_grid_mismatch(c, 1, 1)
+    assert got == scalar_first_grid_mismatch(c, 1, 1)
+    assert kernel_dtypes == [dtype]
+
+
+def test_grid_check_keeps_int64_for_values_just_beyond_2_53(kernel_dtypes):
+    # at (-1, -1) the output is -(2^53 + 1), which float64 would round
+    c = _padded_two_relus({0: 2**53, 1: 1}, -2**53)
+    assert first_grid_mismatch(c, 1, 1) == ((-1, -1), -(2**53 + 1), 0)
+    assert kernel_dtypes == [np.int64]
+
+
+@pytest.mark.parametrize("radius, dtype", [(1, np.float64), (3, np.int64)])
+def test_grid_check_scales_the_bound_by_the_largest_input(kernel_dtypes, radius, dtype):
+    # bound 2^51 + 2^50 + 1 stays below 2^53, but not once scaled by mu = 3
+    # on the grid of radius 3 and step 1
+    c = _padded_two_relus({0: 2**51, 1: 2**50}, 0)
+    assert c._lowered.bound == 3 * 2**50 + 1
+    assert first_grid_mismatch(c, radius, 1) == scalar_first_grid_mismatch(c, radius, 1)
+    assert kernel_dtypes == [dtype]
+
+
+def test_the_default_grid_check_of_max0xy_runs_on_float64(kernel_dtypes):
+    assert verify_depth2_max(max0xy_depth2())
+    assert kernel_dtypes == [np.float64]
+
+
+# ---------------------------------------------------------------------------
 # one-hidden-layer circuits as term sums
 
 def test_sum_circuits_convert_to_term_sums(rng):

@@ -29,7 +29,7 @@ from relucirc import (
     survival_experiment,
     vertex,
 )
-from relucirc.restriction import _selector_style_masks, random_ltf_of_relu
+from relucirc.restriction import random_ltf_of_relu
 
 from conftest import scalar_evaluate
 
@@ -330,14 +330,18 @@ def test_survival_experiment_is_deterministic():
     assert a == b
 
 
-def test_survival_is_exact_past_int64():
-    # (n + 1) W >= 2^62, so folded biases would wrap in int64
-    n, gates, trials, bound = 1024, 32, 20, 1 << 61
-    (row,) = survival_experiment([n], gates, bound, trials, seed=0)
+def scalar_survival_fracs(n, gates, bound, trials, seed):
+    """Each trial's surviving fraction, from the sweep's stream on Python ints:
+    one free column per matrix row, then the weights, the biases and the signs."""
+    half = n // 2
+    rows = half.bit_length() - 1
+    cols = n // (2 * rows)
     fracs = []
     for t in range(trials):
-        rng = np.random.default_rng([0, n, t])
-        free = _selector_style_masks(n, rng).tolist()
+        rng = np.random.default_rng([seed, n, t])
+        free = [False] * n
+        for i in range(rows):
+            free[half + i * cols + int(rng.integers(cols))] = True
         w = rng.integers(-bound, bound + 1, size=(gates, n)).tolist()
         b = rng.integers(-bound, bound + 1, size=gates).tolist()
         signs = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
@@ -347,4 +351,21 @@ def test_survival_is_exact_past_int64():
             mass = sum(abs(c) for c, f in zip(row_w, free) if f)
             alive += abs(folded) < mass
         fracs.append(alive / gates)
+    return fracs
+
+
+def test_survival_is_exact_past_int64():
+    # (n + 1) W >= 2^62, so folded biases would wrap in int64
+    n, gates, trials, bound = 1024, 32, 20, 1 << 61
+    (row,) = survival_experiment([n], gates, bound, trials, seed=0)
+    assert row.mean_survival == float(np.mean(scalar_survival_fracs(n, gates, bound, trials, 0)))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_survival_matches_the_scalar_oracle_on_int64(n):
+    gates, trials, bound = 8, 30, 4
+    (row,) = survival_experiment([n], gates, bound, trials, seed=2)
+    fracs = scalar_survival_fracs(n, gates, bound, trials, 2)
     assert row.mean_survival == float(np.mean(fracs))
+    half_width = 1.96 * float(np.std(fracs, ddof=1)) / float(np.sqrt(trials))
+    assert (row.ci95_lo, row.ci95_hi) == (row.mean_survival - half_width, row.mean_survival + half_width)
