@@ -112,7 +112,6 @@ from .signrank import (
     block_partition,
     cone_membership,
     exact_rank,
-    float_singular_values,
     forster_lower_bound,
     inner_product_matrix,
     inner_product_sign,

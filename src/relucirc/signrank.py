@@ -3,10 +3,13 @@
 A circuit on 2m inputs splits into an x-half (coordinates 1..m, rows) and a
 y-half (m+1..2m, columns).  When every bottom gate's half-weights order the
 vertices consistently with shared row/column orderings, the output's pre-sign
-matrix is block-constant with few blocks, which caps its exact rank.  The
-spectral sign-rank lower bound `forster_lower_bound` divides by a
-power-iteration estimate of the spectral norm; it is an estimate, not a
-certified bound.
+matrix is block-constant with few blocks, which caps its exact rank.
+`exact_rank` decides that rank in up to three exact stages: a rounded
+float64 inverse whose integer residual, computed exactly, proves full rank;
+elimination modulo a prime, exact when it reaches full rank; and a
+fraction-free Bareiss sweep over Python ints.  The spectral sign-rank lower
+bound `forster_lower_bound` divides by a power-iteration estimate of the
+spectral norm; it is an estimate, not a certified bound.
 
 `RationalMatrix` and `SignMatrix` store a 2-D numpy array ``num`` of integer
 numerators over one positive denominator ``den`` in lowest terms (1 for sign
@@ -364,9 +367,9 @@ def random_cone_circuit(
     """
     if not widths:
         raise ArityError("need at least one hidden layer")
+    if bound < 0:  # the bottom biases are drawn from [-bound, bound] too
+        raise ContractError(f"weight bound {bound} is negative")
     pool = superincreasing_vectors(m, bound)
-    if not pool:
-        raise ContractError(f"no cone weight vectors within bound {bound}")
     layers = []
     bottom = []
     for _ in range(widths[0]):
@@ -453,11 +456,13 @@ def exact_rank(matrix: RationalMatrix | SignMatrix | Sequence[Sequence]) -> int:
     """Rank over the rationals.
 
     Zero rows go, then duplicate rows and columns; none of this changes the
-    rank, and the denominator plays no part.  Elimination modulo the prime
-    p = 2^31 - 1 in int64 gives a rank that never exceeds the rank over the
-    rationals (every minor that vanishes over Q vanishes mod p), so when it
-    reaches the smaller dimension of the deduplicated matrix it is exact.
-    Otherwise a fraction-free Bareiss sweep over Python ints decides.
+    rank, and the denominator plays no part.  Three stages follow, each
+    exact when it answers: `_full_rank_certified` proves full rank from a
+    rounded float64 inverse; elimination modulo the prime p = 2^31 - 1 in
+    int64 gives a rank that never exceeds the rank over the rationals (every
+    minor that vanishes over Q vanishes mod p), so it is exact when it
+    reaches the smaller dimension; otherwise a fraction-free Bareiss sweep
+    over Python ints decides.
     """
     if not isinstance(matrix, (RationalMatrix, SignMatrix)):
         matrix = RationalMatrix(matrix)
@@ -466,10 +471,55 @@ def exact_rank(matrix: RationalMatrix | SignMatrix | Sequence[Sequence]) -> int:
     if not num.shape[0]:
         return 0
     num = _distinct_rows(_distinct_rows(num).T).T
+    if _full_rank_certified(num):
+        return min(num.shape)
     rank = _rank_mod_prime(num)
     if rank == min(num.shape):
         return rank
     return _bareiss_rank(num.astype(object))
+
+
+def _full_rank_certified(num: np.ndarray) -> bool:
+    """True only if ``num``, an integer matrix with a nonzero entry, has
+    rank min(num.shape).
+
+    With A = ``num`` oriented r x c, r <= c, X is a float64 inverse of A
+    (square) or A^T (A A^T)^-1 (wide), and X' = rint(2^s X) for the largest
+    s >= 1 with 2^s max|X| <= q = floor((2^52 - 1) / (c max|A|)).  Then
+    c max|A| max|X'| < 2^52: every partial sum of A X' is an integer below
+    2^52, so the float64 product is exact in any summation order, and
+    A X' = 2^s I - E exactly.  If every row of |E| sums to less than 2^s,
+    then ||I - A X'/2^s||_inf < 1, so A X' is nonsingular and rank A >= r.
+    Object arrays, and c max|A| >= 2^52 (where q = 0; it covers every
+    entry at or past 2^53, which float64 would round), are not tried.  No
+    int64 sum wraps: s <= 62 - bit_length(r), so |E| <= 2^s + 2^52 < 2^63,
+    the check fails as soon as an entry of |E| reaches 2^s, and after that
+    each row sum is below r 2^s < 2^62.
+    """
+    if num.dtype == object:
+        return False
+    a = num if num.shape[0] <= num.shape[1] else num.T
+    r, c = a.shape
+    q = ((1 << 52) - 1) // (c * int(np.abs(a).max()))
+    if not q:
+        return False
+    af = a.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = np.linalg.inv(af) if r == c else af.T @ np.linalg.inv(af @ af.T)
+        except np.linalg.LinAlgError:
+            return False
+    x_max = float(np.abs(x).max())
+    if not 0.0 < x_max < math.inf:
+        return False
+    s = min(math.frexp(q / x_max)[1] - 1, 62 - r.bit_length())
+    if s < 1:
+        return False
+    x = np.rint(np.ldexp(x, s))
+    if np.abs(x).max() > q:  # q / x_max was rounded up
+        return False
+    e = np.abs((1 << s) * np.eye(r, dtype=np.int64) - (af @ x).astype(np.int64))
+    return bool((e < 1 << s).all() and (e.sum(axis=1) < 1 << s).all())
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -530,11 +580,6 @@ def _bareiss_rank(arr: np.ndarray) -> int:
 
 def _floats(matrix: RationalMatrix | SignMatrix) -> np.ndarray:
     return np.asarray(matrix.num / matrix.den, dtype=np.float64)
-
-
-def float_singular_values(matrix: RationalMatrix | SignMatrix) -> np.ndarray:
-    """Floating-point singular values, for tolerance cross-checks only."""
-    return np.linalg.svd(_floats(matrix), compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relucirc
 from relucirc import (
     Circuit,
     ContractError,
@@ -732,6 +735,7 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=0"],
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=+1,1=-1"],
     ["signrank", "random", "--m", "2", "--weight-bound", "-1"],
+    ["signrank", "random", "--m", "0", "--weight-bound", "-1"],
     ["random-approx", "--n", "3", "--epsilon", "1/4", "--reference", "random-circuit",
      "--weight-bound", "-1"],
     ["restrict", "survival", "--n-list", "-1"],
@@ -755,6 +759,21 @@ def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_importing_the_package_and_cli_loads_only_stdlib_and_numpy():
+    # compared with the modules loaded before the import: site hooks load
+    # their own modules at start-up
+    src = str(Path(relucirc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+        "import relucirc, relucirc.cli\n"
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert {"numpy", "relucirc"} <= loaded
+    assert loaded - {"numpy", "relucirc"} <= set(sys.stdlib_module_names)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -827,14 +846,37 @@ _SURVIVAL_POOLS = {
 }
 
 
+_SIGNRANK_POOLS = {
+    "--m": ["-1", "0", "1", "2", "3", "4", "13", "x"],  # 13 is over the matrix cap
+    "--widths": ["2", "2,2", "0", "3,x"],
+    # the cone pool is enumerated in full, so the bounds stay small
+    "--weight-bound": ["-1", "0", "1", "2"],
+    "--name": ["inner-product", "arkadev-nikhil", "parity"],
+    "--blocks": ["-1", "0", "1", "2"],
+    "--block-width": ["-1", "0", "1", "2"],
+}
+_SIGNRANK_OPTIONS = {
+    "random": ("--m", "--widths", "--weight-bound"),
+    "function": ("--name", "--m", "--blocks", "--block-width"),
+}
+
+
 @st.composite
 def _cli_argv(draw):
-    """argv for `construct universal-*`, `random-approx` and `restrict
-    survival`, from pools of valid, boundary and malformed tokens, with
-    optional options left out."""
+    """argv for `construct universal-*`, `random-approx`, `restrict
+    survival` and `signrank random|function`, from pools of valid, boundary
+    and malformed tokens, with optional options left out."""
     command = draw(st.sampled_from(
-        ["universal-vertex", "universal-fourier", "random-approx", "restrict-survival"]
+        ["universal-vertex", "universal-fourier", "random-approx", "restrict-survival",
+         "signrank-random", "signrank-function"]
     ))
+    if command.startswith("signrank"):
+        mode = command.split("-")[1]
+        argv = ["signrank", mode]
+        for option in _SIGNRANK_OPTIONS[mode]:
+            if draw(st.booleans()):
+                argv.append(f"{option}={draw(st.sampled_from(_SIGNRANK_POOLS[option]))}")
+        return argv
     if command == "restrict-survival":
         # lengths up to 64 and --trials always given: the defaults run
         # lengths up to 1024 at 1000 trials
@@ -877,7 +919,7 @@ def _run_captured(argv):
 
 
 @given(_cli_argv())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_cli_exits_0_2_or_3_with_one_error_line_and_the_same_bytes(argv):
     code, out, err = _run_captured(argv)
     assert code in (0, 2, 3), (argv, err)

@@ -29,7 +29,6 @@ from relucirc import (
     cone_membership,
     evaluate,
     exact_rank,
-    float_singular_values,
     forster_lower_bound,
     inner_product_matrix,
     inner_product_sign,
@@ -407,7 +406,9 @@ def bareiss(monkeypatch):
     ([[1, 2, 3], [2, 4, 6 + P], [0, 1, 0]], 3),
     ([[P, 0, 0], [0, P, 0], [P, P, 0]], 2),
 ])
-def test_rank_lost_modulo_the_prime_falls_back_to_bareiss(bareiss, entries, rank):
+def test_rank_lost_modulo_the_prime_falls_back_to_bareiss(bareiss, monkeypatch, entries, rank):
+    # [[P, 2P], [3P, 5P]] has full rank and a certificate would decide it
+    monkeypatch.setattr(signrank, "_full_rank_certified", lambda num: False)
     assert scalar_rank(entries) == rank
     assert exact_rank(rational(entries)) == rank
     assert bareiss, "the modular rank fell short, so Bareiss must decide"
@@ -421,6 +422,82 @@ def test_full_modular_rank_skips_bareiss(bareiss):
     assert exact_rank(rational([[a, 0, 0], [a, 0, 0], [0, a, a]])) == 2
     assert exact_rank(rational([[1, 1, 2], [1, 1, 2], [2, 2, 1]])) == 2
     assert bareiss == []
+
+
+@pytest.fixture
+def later_stages(monkeypatch):
+    """Names of the stages after the certificate that exact_rank reached."""
+    reached = []
+    for name in ("_rank_mod_prime", "_bareiss_rank"):
+        def spy(arr, name=name, stage=getattr(signrank, name)):
+            reached.append(name)
+            return stage(arr)
+
+        monkeypatch.setattr(signrank, name, spy)
+    return reached
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_the_certificate_decides_the_benchmark_inner_products(later_stages, m):
+    assert exact_rank(inner_product_matrix(m)) == 1 << m
+    assert later_stages == []
+
+
+def test_the_certificate_is_sound_on_products_of_random_factors():
+    rng = np.random.default_rng(0xCE47)
+    outcomes = set()
+    for trial in range(300):
+        short, extra = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        rows, cols = [(short, short), (short, short + extra), (short + extra, short)][trial % 3]
+        rank = int(rng.integers(0, short + 1))
+        product = rng.integers(-9, 10, size=(rows, rank)) @ rng.integers(-9, 10, size=(rank, cols))
+        # integer row and column scalings keep the rank; entries reach about 2^40
+        product <<= rng.integers(0, 15, size=(rows, 1))
+        product <<= rng.integers(0, 15, size=(1, cols))
+        want = scalar_rank(product.tolist())
+        certified = bool(product.any()) and signrank._full_rank_certified(product)
+        assert not certified or want == short, product
+        assert exact_rank(product.tolist()) == want
+        outcomes.add((want == short, certified))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("v", [(1 << 53) - 1, 1 << 53, (1 << 62) - 1])
+def test_the_certificate_declines_entries_past_an_exact_product(v):
+    for entries in ([[v, 1], [1, 0]], [[v, v - 1], [v - 1, v - 2]], [[v, v], [1, 1]]):
+        num = np.array(entries, dtype=np.int64)
+        assert not signrank._full_rank_certified(num)
+        assert exact_rank(entries) == scalar_rank(entries)
+
+
+K = 1 << 26
+
+
+@pytest.mark.parametrize("entries, rank", [
+    ([[1, 0], [0, P]], 2),  # the rounded inverse loses 1/P
+    ([[K, K + 1], [K - 1, K]], 2),  # determinant 1, entries of the inverse near 2^26
+    ([[1 << 40, 3 << 40], [1 << 41, 6 << 40]], 1),  # rank-deficient
+    ([[K, K + 1, 1], [2 * K, 2 * K + 2, 2], [1, 1, 1 << 30]], 2),  # rank-deficient
+    ([[1 << 50, 1], [1 << 50, 1], [1, 1 << 50]], 2),  # q = 1: X' holds only -1, 0 and 1
+])
+def test_the_certificate_falls_through_without_a_proof(entries, rank):
+    assert not signrank._full_rank_certified(np.array(entries, dtype=np.int64))
+    assert not signrank._full_rank_certified(np.array(entries, dtype=np.int64).T)
+    assert scalar_rank(entries) == rank
+    assert exact_rank(entries) == rank
+
+
+def test_the_certificate_declines_object_arrays():
+    assert not signrank._full_rank_certified(np.array([[1, 0], [0, 1]], dtype=object))
+    huge = rational([[10**30, 0], [0, 10**30]])
+    assert huge.num.dtype == object and not signrank._full_rank_certified(huge.num)
+    assert exact_rank(huge) == 2
+
+
+def test_the_certificate_decides_a_full_rank_matrix_past_the_prime(later_stages):
+    entries = [[P, 2 * P], [3 * P, 5 * P]]
+    assert signrank._full_rank_certified(np.array(entries, dtype=np.int64))
+    assert exact_rank(entries) == 2 and later_stages == []
 
 
 def test_lowest_terms_keeps_int64_below_two_to_the_62():
@@ -588,7 +665,7 @@ def test_spectral_norm_matches_float_svd():
         M = rational(
             [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         )
-        top = float_singular_values(M)[0]
+        top = np.linalg.svd(M.num / M.den, compute_uv=False)[0]
         if top == 0:
             continue
         assert abs(spectral_norm(M) - top) <= 1e-6 * top
