@@ -108,9 +108,6 @@ class AffineForm:
             total += w * values[pos]
         return total
 
-    def is_constant(self) -> bool:
-        return not self.weights
-
     def _integer_row(self, width: int) -> tuple[list[int], int, int]:
         """(row, scale, sum of |weights|): the form times ``scale``, the lcm of
         its denominators, as a dense integer row over ``width`` positions and
@@ -747,104 +744,3 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     bits = int.from_bytes(np.packbits(minus, bitorder="little").tobytes(), "little")
     return TruthTable(n, bits)
 
-
-# ---------------------------------------------------------------------------
-# simplification
-
-def _remove_gate(layers, out, k: int, j: int, replacement: Fraction | None) -> None:
-    """Drop gate j of hidden layer k (0-based), folding an optional constant."""
-    consumers = layers[k + 1] if k + 1 < len(layers) else [out]
-    for gate in consumers:
-        w = gate["w"]
-        coeff = w.pop(j, None)
-        if coeff is not None and replacement is not None and replacement != 0:
-            gate["b"] += coeff * replacement
-        gate["w"] = {(p - 1 if p > j else p): c for p, c in w.items()}
-    del layers[k][j]
-
-
-def simplify(circuit: Circuit) -> Circuit:
-    """Remove dead and constant gates; the function on R^n is unchanged.
-
-    Prunes zero weights, folds constant gates into their consumers' biases,
-    drops gates nothing reads, splices out emptied layers, and flattens
-    all-SUM hidden layers (including SUM gates left in the bottom layer of a
-    depth-2 circuit, which route into the skip connection).  Size never grows.
-    """
-    layers = [
-        [{"kind": g.kind, "w": dict(g.form.weights), "b": g.form.bias} for g in layer]
-        for layer in circuit.layers
-    ]
-    out_form = circuit.output_gate.form
-    out = {"kind": circuit.output_gate.kind, "w": dict(out_form.weights), "b": out_form.bias}
-    skip = circuit.skip_wires or AffineForm({})
-    skip_w, skip_b = dict(skip.weights), skip.bias
-
-    changed = True
-    while changed:
-        changed = False
-        for gate in [g for layer in layers for g in layer] + [out]:
-            dead = [p for p, c in gate["w"].items() if c == 0]
-            for p in dead:
-                del gate["w"][p]
-                changed = True
-        # constant gates: no live inputs
-        for k in range(len(layers)):
-            for j in range(len(layers[k]) - 1, -1, -1):
-                gate = layers[k][j]
-                if not gate["w"]:
-                    _remove_gate(layers, out, k, j, apply_kind(gate["kind"], gate["b"]))
-                    changed = True
-        # dead gates: no consumer references them
-        for k in range(len(layers)):
-            consumers = layers[k + 1] if k + 1 < len(layers) else [out]
-            used = set()
-            for gate in consumers:
-                used |= set(gate["w"])
-            for j in range(len(layers[k]) - 1, -1, -1):
-                if j not in used:
-                    _remove_gate(layers, out, k, j, None)
-                    changed = True
-        # SUM gates in the bottom layer of a depth-2 circuit become skip wires
-        if len(layers) == 1:
-            for j in range(len(layers[0]) - 1, -1, -1):
-                gate = layers[0][j]
-                if gate["kind"] is GateKind.SUM:
-                    coeff = out["w"].get(j, Fraction(0))
-                    for p, c in gate["w"].items():
-                        skip_w[p] = skip_w.get(p, Fraction(0)) + coeff * c
-                    skip_b += coeff * gate["b"]
-                    gate["w"] = {}
-                    gate["b"] = Fraction(0)
-                    _remove_gate(layers, out, 0, j, None)
-                    changed = True
-        # hidden layers consisting entirely of SUM gates compose linearly
-        for k in range(len(layers) - 1, -1, -1):
-            if not layers[k] or (k == 0 and len(layers) == 1):
-                continue
-            if all(g["kind"] is GateKind.SUM for g in layers[k]):
-                consumers = layers[k + 1] if k + 1 < len(layers) else [out]
-                for gate in consumers:
-                    new_w: dict[int, Fraction] = {}
-                    new_b = gate["b"]
-                    for p, c in gate["w"].items():
-                        inner = layers[k][p]
-                        for q, d in inner["w"].items():
-                            new_w[q] = new_w.get(q, Fraction(0)) + c * d
-                        new_b += c * inner["b"]
-                    gate["w"] = new_w
-                    gate["b"] = new_b
-                del layers[k]
-                changed = True
-        layers = [layer for layer in layers if layer]
-
-    skip_w = {p: c for p, c in skip_w.items() if c != 0}
-    return Circuit(
-        input_count=circuit.input_count,
-        layers=tuple(
-            tuple(Gate(g["kind"], AffineForm(g["w"], g["b"])) for g in layer)
-            for layer in layers
-        ),
-        output_gate=Gate(out["kind"], AffineForm(out["w"], out["b"])),
-        skip_wires=AffineForm(skip_w, skip_b) if skip_w or skip_b else None,
-    )

@@ -21,6 +21,7 @@ from .circuit import (
     InvariantViolationError,
     ResourceCapError,
     affine,
+    enumeration_cap,
     truth_table,
 )
 from .constructions import (
@@ -38,7 +39,7 @@ from .experiments import (
     survival_report,
 )
 from .hardfuncs import ComposedParams
-from .pwl import first_grid_mismatch, refute_max0xy
+from .pwl import _grid_axis, first_grid_mismatch, refute_max0xy
 from .restriction import (
     Restriction,
     apply_restriction,
@@ -120,6 +121,14 @@ def _cap(args, needed: int) -> int | None:
     return needed if getattr(args, "unsafe_cap", False) else None
 
 
+def _require_size(args, size: int, noun: str) -> None:
+    """Refuse a `size` above 2^cap, the enumeration cap (`--unsafe-cap`
+    raises it to cover `size`)."""
+    cap = enumeration_cap(_cap(args, (size - 1).bit_length()))
+    if size > 1 << cap:
+        raise ResourceCapError(f"{size} {noun} exceed the cap of 2^{cap}")
+
+
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
     if getattr(args, "format", "json") == "csv":
         if csv_text is None:
@@ -159,6 +168,7 @@ def cmd_construct(args) -> int:
     kind = args.kind
     if kind == "parity":
         _require(args.k is not None, "construct parity needs --k")
+        _require_size(args, args.k * (args.k + 1), "parity weights")
         circuit = parity_sum_of_relu(args.k)
     elif kind == "max0xy":
         circuit = max0xy_depth2()
@@ -332,6 +342,8 @@ def cmd_random_approx(args) -> int:
 # refute-max
 
 def cmd_refute_max(args) -> int:
+    count, _, _ = _grid_axis(args.grid_radius, args.grid_step)
+    _require_size(args, (2 * count + 1) ** 2, "grid points")
     if args.pwl is not None:
         f = load_pwl(args.pwl)
         report = refute_max0xy(f, args.grid_radius, args.grid_step)
@@ -378,10 +390,6 @@ def _add_common(sub, fmt: bool = True) -> None:
             "--format", choices=("json", "csv"), default="json",
             help="report format (csv only for tabular payloads)",
         )
-    sub.add_argument(
-        "--unsafe-cap", action="store_true",
-        help="acknowledge raising the enumeration/matrix caps to the requested size",
-    )
 
 
 @functools.cache
@@ -410,6 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="ltf2relu/linear: comma-separated rational weights",
     )
     p.add_argument("--bias", type=_fraction, default=Fraction(0))
+    p.add_argument(
+        "--unsafe-cap", action="store_true",
+        help="lift the arity cap (universal-*, ltf2relu) or the weight cap (parity)",
+    )
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_construct)
 
@@ -437,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, help="arkadev-nikhil: OR block count")
     p.add_argument("--block-width", type=int, help="arkadev-nikhil: OR block width")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--unsafe-cap", action="store_true", help="lift the matrix cap on --m")
     _add_common(p)
     p.set_defaults(func=cmd_signrank)
 
@@ -448,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=("parity", "random-circuit"), default="parity")
     p.add_argument("--gates", type=int, default=8, help="random-circuit reference size")
     p.add_argument("--weight-bound", type=int, default=4)
+    p.add_argument("--unsafe-cap", action="store_true", help="lift the arity caps on --n")
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_random_approx)
 
@@ -457,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--circuit", help="circuit JSON file to grid-verify")
     p.add_argument("--grid-radius", type=_fraction, default=Fraction(10))
     p.add_argument("--grid-step", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--unsafe-cap", action="store_true", help="lift the cap on grid points")
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_refute_max)
 

@@ -255,11 +255,6 @@ def _grid_slabs(count: int, use_object: bool) -> Iterator[tuple[np.ndarray, np.n
         yield k1, k2
 
 
-def grid_points(radius: Rational, step: Rational) -> list[Fraction]:
-    count, sn, sd = _grid_axis(radius, step)
-    return [Fraction(k * sn, sd) for k in range(-count, count + 1)]
-
-
 def grid_max_error(
     f: PwlSum, radius: Rational = 10, step: Rational = Fraction(1, 2)
 ) -> Fraction:
@@ -392,42 +387,3 @@ def verify_depth2_max(
     """Exact equality with max{0, x1, x2} on the whole rational grid."""
     return first_grid_mismatch(circuit, grid_radius, grid_step) is None
 
-
-def pwl_from_depth2(circuit: Circuit) -> PwlSum:
-    """Flatten a one-hidden-layer SUM-of-ReLU circuit on two inputs to a PwlSum.
-
-    Skip wires and the output bias are affine, so they decompose through
-    t = max{0,t} - max{0,-t} and a constant max{0, 0 + 1} term.
-    """
-    if circuit.input_count != 2:
-        raise ArityError("expected a circuit on two inputs")
-    if len(circuit.layers) != 1 or any(
-        g.kind is not GateKind.RELU for g in circuit.layers[0]
-    ):
-        raise ContractError("expected exactly one hidden layer of ReLU gates")
-    if circuit.output_gate.kind is not GateKind.SUM:
-        raise ContractError("expected a SUM output gate")
-
-    def input_pair(form) -> tuple[Fraction, Fraction]:
-        return (form.weights.get(0, Fraction(0)), form.weights.get(1, Fraction(0)))
-
-    terms: list[PwlTerm] = []
-    out_form = circuit.output_gate.form
-    for j, gate in enumerate(circuit.layers[0]):
-        alpha = out_form.weights.get(j, Fraction(0))
-        if alpha:
-            terms.append(PwlTerm(alpha, input_pair(gate.form), gate.form.bias))
-    affine_w = (Fraction(0), Fraction(0))
-    const = out_form.bias
-    if circuit.skip_wires is not None:
-        affine_w = input_pair(circuit.skip_wires)
-        const += circuit.skip_wires.bias
-    for axis in range(2):
-        c = affine_w[axis]
-        if c:
-            e = (Fraction(1), Fraction(0)) if axis == 0 else (Fraction(0), Fraction(1))
-            terms.append(PwlTerm(c, e, Fraction(0)))
-            terms.append(PwlTerm(-c, (-e[0], -e[1]), Fraction(0)))
-    if const:
-        terms.append(PwlTerm(const, (Fraction(0), Fraction(0)), Fraction(1)))
-    return PwlSum(tuple(terms))

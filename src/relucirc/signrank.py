@@ -352,18 +352,23 @@ def superincreasing_vectors(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# weight and bias numerators above the bottom layer of `random_cone_circuit`
+_UPPER_SPAN = 6
+
+
 def random_cone_circuit(
     m: int,
     widths: Sequence[int],
     bound: int,
     rng: random.Random,
-    upper_span: int = 6,
 ) -> Circuit:
     """Random LTF-of-ReLU circuit whose bottom half-weights sit in the standard cones.
 
     Bottom gates draw each half independently from the superincreasing family
     (negated y-halves would need the reversed ordering, so both halves stay
-    nonnegative); upper layers and the output draw small rational weights.
+    nonnegative); upper layers and the output draw each weight and bias
+    numerator from [-_UPPER_SPAN, _UPPER_SPAN], weights over a denominator
+    of 1, 2 or 3.
     """
     if not widths:
         raise ArityError("need at least one hidden layer")
@@ -385,20 +390,20 @@ def random_cone_circuit(
         for _ in range(width):
             w = {}
             for p in range(prev_width):
-                num = rng.randint(-upper_span, upper_span)
+                num = rng.randint(-_UPPER_SPAN, _UPPER_SPAN)
                 if num:
                     w[p] = Fraction(num, rng.choice((1, 1, 2, 3)))
             layer.append(
-                Gate(GateKind.RELU, AffineForm(w, Fraction(rng.randint(-upper_span, upper_span))))
+                Gate(GateKind.RELU, AffineForm(w, Fraction(rng.randint(-_UPPER_SPAN, _UPPER_SPAN))))
             )
         layers.append(tuple(layer))
     out_w = {}
     for p in range(widths[-1]):
-        num = rng.randint(-upper_span, upper_span)
+        num = rng.randint(-_UPPER_SPAN, _UPPER_SPAN)
         if num:
             out_w[p] = Fraction(num, rng.choice((1, 1, 2, 3)))
     out = Gate(
-        GateKind.LTF, AffineForm(out_w, Fraction(rng.randint(-upper_span, upper_span)))
+        GateKind.LTF, AffineForm(out_w, Fraction(rng.randint(-_UPPER_SPAN, _UPPER_SPAN)))
     )
     return Circuit(2 * m, tuple(layers), out)
 
@@ -597,14 +602,14 @@ def spectral_norm(
     matrix: SignMatrix | RationalMatrix,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    seed: int = 0,
 ) -> float:
-    """Largest singular value by power iteration on M^T M, seeded start.
+    """Largest singular value by power iteration on M^T M, from a fixed
+    random start (seed 0).
 
     An estimate: the iteration converges from below, so it can fall short
     of the true norm."""
     a = _floats(matrix)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     lam_prev = -1.0
@@ -624,17 +629,13 @@ def spectral_norm(
     )
 
 
-def forster_lower_bound(
-    matrix: SignMatrix,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
-    seed: int = 0,
-) -> float:
+def forster_lower_bound(matrix: SignMatrix) -> float:
     """sqrt(rows*cols) / ||M||, Forster's lower bound on the sign-rank of M,
-    with ||M|| from `spectral_norm`'s power-iteration estimate.  An estimate
-    below the true norm puts the value above the bound."""
+    with ||M|| from `spectral_norm`'s power-iteration estimate at its
+    default tolerance and iteration limit.  An estimate below the true norm
+    puts the value above the bound."""
     rows, cols = matrix.shape
-    norm = spectral_norm(matrix, tol=tol, max_iter=max_iter, seed=seed)
+    norm = spectral_norm(matrix)
     return math.sqrt(rows * cols) / norm
 
 

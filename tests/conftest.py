@@ -11,14 +11,8 @@ from fractions import Fraction
 import pytest
 
 from relucirc import circuit as circuit_module
-from relucirc import (
-    Circuit,
-    Gate,
-    GateKind,
-    TruthTable,
-    affine,
-    vertex,
-)
+from relucirc import Circuit, Gate, GateKind, TruthTable, affine
+from relucirc.circuit import vertex
 
 
 def affine_value(form, values):

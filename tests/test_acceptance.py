@@ -29,11 +29,8 @@ from relucirc import (
     inner_product_matrix,
     ltf_to_relu,
     max0xy_depth2,
-    max0xy_value,
     parity_sum_of_relu,
-    parity_table,
     pwl_sum,
-    random_agreement_probe,
     random_cone_circuit,
     refute_max0xy,
     removability,
@@ -49,6 +46,8 @@ from relucirc import (
     walsh_hadamard,
 )
 from relucirc.circuit import cube_matrix, vertex
+from relucirc.experiments import parity_table, random_agreement_probe
+from relucirc.pwl import max0xy_value
 from relucirc.restriction import Removability
 
 from conftest import random_circuit

@@ -1,4 +1,4 @@
-"""Core circuit representation: exact evaluation, truth tables, simplify."""
+"""Core circuit representation: exact evaluation and truth tables."""
 
 import gc
 import tracemalloc
@@ -24,14 +24,12 @@ from relucirc import (
     circuit_to_json,
     evaluate,
     forward_on_cube,
-    simplify,
     truth_table,
     universal_fourier,
     universal_vertex_indicators,
-    vertex,
 )
 from relucirc import circuit as circuit_module
-from relucirc.circuit import _full_cube, cube_matrix
+from relucirc.circuit import _full_cube, cube_matrix, vertex
 
 from conftest import (
     random_circuit,
@@ -661,52 +659,3 @@ def test_table_hex_round_trips(n, data):
     t = TruthTable(n, bits)
     assert TruthTable.from_hex(n, t.to_hex()) == t
 
-
-# ---------------------------------------------------------------------------
-# simplify
-
-def test_simplify_drops_a_dead_relu():
-    gates = (
-        Gate(GateKind.RELU, affine({}, -1)),
-        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
-    )
-    out = Gate(
-        GateKind.SUM,
-        affine({0: Fraction(5), 1: Fraction(1)}, 0),
-    )
-    c = simplify(Circuit(1, (gates,), out))
-    assert c.relu_count == 1
-    assert evaluate(c, (3,)) == 3
-
-
-def test_simplify_folds_a_constant_relu_into_successors():
-    gates = (
-        Gate(GateKind.RELU, affine({}, 2)),
-        Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),
-    )
-    out = Gate(
-        GateKind.SUM,
-        affine({0: Fraction(3), 1: Fraction(1)}, 1),
-    )
-    c = simplify(Circuit(1, (gates,), out))
-    assert c.relu_count == 1
-    # 3 * 2 landed in the output bias
-    assert evaluate(c, (0,)) == 7
-    assert evaluate(c, (2,)) == 9
-
-
-def test_simplify_keeps_a_minimal_circuit():
-    gates = (Gate(GateKind.RELU, affine({0: Fraction(1)}, 0)),)
-    out = Gate(GateKind.LTF, affine({0: Fraction(1)}, 0))
-    c = Circuit(1, (gates,), out)
-    s = simplify(c)
-    assert s.size == c.size
-
-
-def test_simplify_never_grows_and_preserves_tables(rng):
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        c = random_circuit(rng, n, rng.randint(1, 4), 4)
-        s = simplify(c)
-        assert s.size <= c.size
-        assert truth_table(s) == truth_table(c)

@@ -19,19 +19,17 @@ from relucirc import (
     WireError,
     affine,
     evaluate,
-    linear_as_2relu,
     ltf_to_relu,
     max0xy_depth2,
     parity_sum_of_relu,
     truth_table,
     universal_fourier,
     universal_vertex_indicators,
-    vertex,
     walsh_hadamard,
 )
 import relucirc.constructions as constructions
-from relucirc.circuit import _Layer, forward_on_cube
-from relucirc.constructions import _fourier_layer, _vertex_layer
+from relucirc.circuit import _Layer, forward_on_cube, vertex
+from relucirc.constructions import _fourier_layer, _vertex_layer, linear_as_2relu
 from relucirc.serialize import circuit_from_json, circuit_to_json
 
 from conftest import scalar_table

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,22 +30,24 @@ from relucirc import (
     andreev_layout,
     apply_restriction,
     dump_circuit,
-    dump_pwl,
     evaluate,
     max0xy_depth2,
     parity_sum_of_relu,
-    parity_table,
     pwl_sum,
-    random_agreement_probe,
     sample_andreev_restriction,
     survival_csv,
-    survival_report,
     truth_table,
 )
 from relucirc.circuit import vertex
 from relucirc.cli import build_parser, main
+from relucirc.experiments import parity_table, random_agreement_probe, survival_report
 from relucirc.restriction import SurvivalRow, random_ltf_of_relu
-from relucirc.serialize import circuit_from_json, circuit_to_json, table_from_hex
+from relucirc.serialize import (
+    circuit_from_json,
+    circuit_to_json,
+    dump_pwl,
+    table_from_hex,
+)
 
 REPORT_KEYS = {
     "n", "epsilon", "trials", "seed", "reference", "minAgreementCount",
@@ -675,6 +679,48 @@ def test_cli_refute_sources_are_exclusive(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CLI: size caps on the grid and the parity construction
+
+@pytest.mark.parametrize("argv", [
+    # 1.6e11 grid points, and a parity circuit of 1e10 weights
+    ["refute-max", "--pwl", str(GOLDEN / "input_pwl_two-term.json"), "--grid-radius", "100000"],
+    ["construct", "parity", "--k", "100000"],
+], ids=" ".join)
+def test_cli_refuses_a_grid_or_parity_past_the_cap_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert run_cli(argv) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "exceed the cap of 2^24" in line
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("refute-max_pwl_two-term.json", ["refute-max", "--pwl", "input_pwl_two-term.json"]),
+    ("refute-max_circuit_max0xy.json", ["refute-max", "--circuit", "input_circuit_max0xy.json"]),
+    ("construct_parity_k5.json", ["construct", "parity", "--k", "5"]),
+])
+def test_cli_unsafe_cap_lifts_the_size_cap(capsys, monkeypatch, golden, args):
+    # a cap of 2^4 refuses the default grid's 1681 points and parity's 30 weights
+    monkeypatch.setattr(relucirc.circuit, "DEFAULT_ENUMERATION_CAP", 4)
+    monkeypatch.chdir(GOLDEN)
+    assert run_cli(args) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "exceed the cap of 2^4" in line
+    assert run_cli([*args, "--unsafe-cap"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("mode", ["apply", "survival"])
+def test_cli_restrict_takes_no_unsafe_cap(capsys, mode):
+    # neither mode has a cap to lift
+    assert run_cli(["restrict", mode, "--unsafe-cap"]) == 2
+    assert "unrecognized arguments: --unsafe-cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # CLI: output handling
 
 def test_cli_out_writes_the_file(capsys, tmp_path):
@@ -750,6 +796,10 @@ BAD_CIRCUIT_FILES = {
     ["construct", "universal-fourier", "--n", "3", "--table", "zz"],
     ["construct", "universal-vertex", "--n", "-1", "--table", "0"],
     ["random-approx", "--n", "2", "--epsilon", "-1e400", "--trials", "1"],
+    # a malformed grid is bad usage, checked before the grid's size
+    ["refute-max", "--circuit", "parity", "--grid-step", "0"],
+    ["refute-max", "--circuit", "parity", "--grid-radius=-1", "--grid-step", "1/1000000"],
+    ["construct", "parity", "--k", "0"],
 ], ids=" ".join)
 def test_cli_bad_usage_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
     for name, text in BAD_CIRCUIT_FILES.items():
@@ -774,6 +824,18 @@ def test_importing_the_package_and_cli_loads_only_stdlib_and_numpy():
     loaded = set(done.stdout.split())
     assert {"numpy", "relucirc"} <= loaded
     assert loaded - {"numpy", "relucirc"} <= set(sys.stdlib_module_names)
+
+
+def test_the_package_exports_what_the_benchmark_and_demos_use():
+    # checked with `relucirc.cli` loaded (imported above), as the benchmark loads it
+    root = Path(__file__).resolve().parents[1]
+    used = set(re.findall(r"\brc\.(\w+)", (root / "bench" / "workloads.py").read_text()))
+    assert "evaluate" in used
+    for demo in sorted((root / "demos").glob("*.py")):
+        for names in re.findall(r"^from relucirc import \(([^)]*)\)", demo.read_text(), re.M):
+            used |= {name.strip() for name in names.split(",") if name.strip()}
+    assert "walsh_hadamard" in used
+    assert sorted(name for name in used if not hasattr(relucirc, name)) == []
 
 
 @pytest.mark.parametrize("first, second", [
@@ -861,15 +923,57 @@ _SIGNRANK_OPTIONS = {
 }
 
 
+# the two golden inputs, one missing path; each kind's flag also draws the
+# other kind's document
+_REFUTE_PATHS = [
+    str(GOLDEN / "input_pwl_two-term.json"),
+    str(GOLDEN / "input_circuit_max0xy.json"),
+    str(GOLDEN / "no-such-input.json"),
+]
+# no --unsafe-cap is drawn: 100000 and 1/1000000 make grids past the cap
+_REFUTE_POOLS = {
+    "--grid-radius": ["-1", "0", "1/2", "3", "100000", "x", "1/0"],
+    "--grid-step": ["0", "-1/2", "1/3", "1/2", "1/1000000", "x"],
+}
+_K_TOKENS = ["-1", "0", "1", "5", "5000", "x"]  # 5000 is over the weight cap
+_WEIGHT_TOKENS = ["1", "-2", "1/2", "0", "1e400", "x", "1/0", ""]
+_BIAS_TOKENS = ["0", "-1", "3/2", "x", "1/0", ""]
+_FIX_TOKENS = ["1=-1", "0=1", "99=1", "1=2", "1=1,1=-1", "", "2=+1,5=-1", "x=1"]
+
+
 @st.composite
 def _cli_argv(draw):
-    """argv for `construct universal-*`, `random-approx`, `restrict
-    survival` and `signrank random|function`, from pools of valid, boundary
-    and malformed tokens, with optional options left out."""
+    """argv for every command: `construct` of each kind, `random-approx`,
+    `restrict apply|survival`, `signrank random|function` and `refute-max`,
+    from pools of valid, boundary and malformed tokens, with optional
+    options left out."""
     command = draw(st.sampled_from(
         ["universal-vertex", "universal-fourier", "random-approx", "restrict-survival",
-         "signrank-random", "signrank-function"]
+         "signrank-random", "signrank-function", "refute-max", "parity", "ltf2relu",
+         "linear", "max0xy", "restrict-apply"]
     ))
+    if command == "refute-max":
+        argv = ["refute-max", draw(st.sampled_from(["--pwl", "--circuit"])),
+                draw(st.sampled_from(_REFUTE_PATHS))]
+        for option, pool in _REFUTE_POOLS.items():
+            if draw(st.booleans()):
+                argv.append(f"{option}={draw(st.sampled_from(pool))}")
+        return argv
+    if command == "parity":
+        return ["construct", "parity", f"--k={draw(st.sampled_from(_K_TOKENS))}"]
+    if command in ("ltf2relu", "linear"):
+        argv = ["construct", command]
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.sampled_from(_WEIGHT_TOKENS), max_size=4))
+            argv.append(f"--weights={','.join(weights)}")
+        if draw(st.booleans()):
+            argv.append(f"--bias={draw(st.sampled_from(_BIAS_TOKENS))}")
+        return argv
+    if command == "max0xy":
+        return ["construct", "max0xy"]
+    if command == "restrict-apply":
+        return ["restrict", "apply", "--circuit", str(GOLDEN / "input_restrict_depth2.json"),
+                f"--fix={draw(st.sampled_from(_FIX_TOKENS))}"]
     if command.startswith("signrank"):
         mode = command.split("-")[1]
         argv = ["signrank", mode]

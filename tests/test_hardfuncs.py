@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relucirc import (
+from relucirc import ArityError, andreev_input_size, andreev_layout
+from relucirc.hardfuncs import (
     AndreevInput,
-    ArityError,
     ComposedParams,
     andreev,
-    andreev_input_size,
-    andreev_layout,
     arkadev_nikhil,
     composed_function,
     omb,

@@ -12,27 +12,29 @@ from relucirc import (
     Gate,
     GateKind,
     affine,
-    canonical_line,
-    dump_pwl,
     evaluate,
     first_grid_mismatch,
     grid_max_error,
-    load_pwl,
     max0xy_depth2,
-    max0xy_one_sided,
-    max0xy_smooth_at,
-    max0xy_value,
     nondiff_locus,
-    pwl_from_depth2,
-    pwl_from_json,
     pwl_sum,
-    pwl_to_json,
-    refutation_to_json,
     refute_max0xy,
     verify_depth2_max,
 )
 from relucirc import pwl
-from relucirc.pwl import grid_points
+from relucirc.pwl import (
+    canonical_line,
+    max0xy_one_sided,
+    max0xy_smooth_at,
+    max0xy_value,
+)
+from relucirc.serialize import (
+    dump_pwl,
+    load_pwl,
+    pwl_from_json,
+    pwl_to_json,
+    refutation_to_json,
+)
 
 from conftest import (
     random_circuit,
@@ -336,15 +338,16 @@ def test_origin_only_grid_passes():
 
 
 def test_grid_axis_contents():
-    assert grid_points(1, Fraction(1, 2)) == [
-        -1, Fraction(-1, 2), 0, Fraction(1, 2), 1
-    ]
-    assert len(grid_points(10, Fraction(1, 2))) == 41
-    assert grid_points(0, 1) == [0]
-    with pytest.raises(ArityError):
-        grid_points(1, 0)
-    with pytest.raises(ArityError):
-        grid_points(-1, 1)
+    # the axis is k * sn/sd for k = -count..count
+    assert pwl._grid_axis(1, Fraction(1, 2)) == (2, 1, 2)
+    assert pwl._grid_axis(10, Fraction(1, 2)) == (20, 1, 2)
+    assert pwl._grid_axis(0, 1) == (0, 1, 1)
+    f, c = pwl_sum([]), max0xy_depth2()
+    for scan, target in ((grid_max_error, f), (first_grid_mismatch, c)):
+        with pytest.raises(ArityError):
+            scan(target, 1, 0)
+        with pytest.raises(ArityError):
+            scan(target, -1, 1)
 
 
 def test_grid_error_values():
@@ -576,34 +579,6 @@ def test_grid_check_scales_the_bound_by_the_largest_input(kernel_dtypes, radius,
 def test_the_default_grid_check_of_max0xy_runs_on_float64(kernel_dtypes):
     assert verify_depth2_max(max0xy_depth2())
     assert kernel_dtypes == [np.float64]
-
-
-# ---------------------------------------------------------------------------
-# one-hidden-layer circuits as term sums
-
-def test_sum_circuits_convert_to_term_sums(rng):
-    for _ in range(40):
-        width = rng.randint(1, 4)
-        gates = tuple(
-            Gate(GateKind.RELU, affine(
-                {0: Fraction(rng.randint(-3, 3)),
-                 1: Fraction(rng.randint(-3, 3))},
-                Fraction(rng.randint(-3, 3))))
-            for _ in range(width)
-        )
-        out_w = {j: Fraction(rng.randint(-3, 3))
-                 for j in range(width)}
-        skip = affine(
-            {0: Fraction(rng.randint(-2, 2)),
-             1: Fraction(rng.randint(-2, 2))},
-            Fraction(rng.randint(-2, 2)),
-        ) if rng.random() < 0.5 else None
-        c = Circuit(2, (gates,), Gate(GateKind.SUM, affine(out_w, 0)), skip)
-        f = pwl_from_depth2(c)
-        for _ in range(12):
-            p = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                 Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-            assert f.value(p) == evaluate(c, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,27 +9,27 @@ import pytest
 
 from relucirc import (
     AffineForm,
-    AndreevInput,
     ArityError,
     Circuit,
     Gate,
     GateKind,
-    Removability,
     Restriction,
     affine,
-    andreev,
     andreev_layout,
     andreev_restricted_table,
     apply_restriction,
-    bit_to_sign,
     evaluate,
     removability,
     sample_andreev_restriction,
-    sign_to_bit,
     survival_experiment,
-    vertex,
 )
-from relucirc.restriction import random_ltf_of_relu
+from relucirc.hardfuncs import AndreevInput, andreev
+from relucirc.restriction import (
+    Removability,
+    bit_to_sign,
+    random_ltf_of_relu,
+    sign_to_bit,
+)
 
 from conftest import scalar_evaluate
 

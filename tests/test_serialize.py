@@ -16,11 +16,9 @@ from relucirc import (
     circuit_from_json,
     circuit_to_json,
     dump_circuit,
-    load_circuit,
-    rational_from_str,
-    rational_to_str,
     table_from_hex,
 )
+from relucirc.serialize import load_circuit, rational_from_str, rational_to_str
 
 from conftest import random_circuit
 

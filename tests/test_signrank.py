@@ -12,38 +12,38 @@ from hypothesis import strategies as st
 from relucirc import (
     ArityError,
     Circuit,
-    ComposedParams,
     ContractError,
     Gate,
     GateKind,
     InvariantViolationError,
-    RationalMatrix,
     ResourceCapError,
     SignMatrix,
     SpectralNormDiverged,
     VertexOrdering,
     affine,
-    arkadev_nikhil,
-    block_partition,
-    composed_function,
-    cone_membership,
     evaluate,
     exact_rank,
     forster_lower_bound,
     inner_product_matrix,
-    inner_product_sign,
     pre_sign_matrix,
     random_cone_circuit,
-    sign_matrix,
     sign_pattern,
     sign_rank_is_one,
-    spectral_norm,
-    superincreasing_vectors,
     top_decomposition,
     verify_block_bound,
-    vertex,
 )
 from relucirc import signrank
+from relucirc.circuit import vertex
+from relucirc.hardfuncs import ComposedParams, arkadev_nikhil, composed_function
+from relucirc.signrank import (
+    RationalMatrix,
+    block_partition,
+    cone_membership,
+    inner_product_sign,
+    sign_matrix,
+    spectral_norm,
+    superincreasing_vectors,
+)
 
 from conftest import scalar_rank
 
