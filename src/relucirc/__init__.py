@@ -35,7 +35,6 @@ from .constructions import (
     universal_vertex_indicators,
     walsh_hadamard,
 )
-from .experiments import survival_csv
 from .hardfuncs import andreev_input_size, andreev_layout
 from .pwl import (
     first_grid_mismatch,
@@ -60,6 +59,7 @@ from .serialize import (
     circuit_from_json,
     circuit_to_json,
     dump_circuit,
+    survival_csv,
     table_from_hex,
 )
 from .signrank import (

@@ -197,10 +197,8 @@ class _Layer(tuple):
         if not self:
             raise WireError(f"layer {k} is empty")
         if self._source is None or width not in self._source[0]._checked:
-            prev = frozenset(range(width))
             for j, gate in enumerate(self, start=1):
-                if not prev >= gate.form.weights.keys():
-                    raise _read_error(gate.form, prev, f"gate {j} of layer {k}")
+                _check_reads(gate.form, width, f"gate {j} of layer {k}")
         self._checked.add(width)
 
     def lowered(
@@ -268,23 +266,14 @@ class Circuit:
         self._validate()
 
     def _validate(self) -> None:
-        """Every weight key is a position of the layer its form reads.
-
-        Each check builds its own set of positions and keeps none: a cache
-        keyed by width would fill with the table-dependent widths of Fourier
-        output gates and grow with a run's length.
-        """
+        """Every weight key is a position of the layer its form reads."""
         width = self.input_count
         for k, layer in enumerate(self.layers, start=1):
             layer.check_reads(width, k)
             width = len(layer)
-        prev = frozenset(range(width))
-        if not prev >= self.output_gate.form.weights.keys():
-            raise _read_error(self.output_gate.form, prev, "the output gate")
+        _check_reads(self.output_gate.form, width, "the output gate")
         if self.skip_wires is not None:
-            inputs = frozenset(range(self.input_count))
-            if not inputs >= self.skip_wires.weights.keys():
-                raise _read_error(self.skip_wires, inputs, "the skip wires")
+            _check_reads(self.skip_wires, self.input_count, "the skip wires")
 
     @cached_property
     def _lowered(self) -> "_Lowering":
@@ -316,9 +305,15 @@ class Circuit:
         return count
 
 
-def _read_error(form: AffineForm, positions: frozenset[int], reader: str) -> WireError:
-    bad = sorted(form.weights.keys() - positions, key=repr)
-    return WireError(f"{reader}: {bad} not among the {len(positions)} positions it may read")
+def _check_reads(form: AffineForm, width: int, reader: str) -> None:
+    """Raise WireError unless every weight key is an int in [0, width), in time
+    linear in the keys (`int.__instancecheck__` is isinstance by C loop)."""
+    keys = form.weights.keys()
+    if keys and not (
+        all(map(int.__instancecheck__, keys)) and min(keys) >= 0 and max(keys) < width
+    ):
+        bad = sorted((k for k in keys if not (isinstance(k, int) and 0 <= k < width)), key=repr)
+        raise WireError(f"{reader}: {bad} not among the {width} positions it may read")
 
 
 def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:

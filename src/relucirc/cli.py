@@ -1,19 +1,21 @@
 """Command-line surface: seeded, reproducible experiments over the library.
 
-Every command emits a machine-readable report embedding its resolved
-configuration and seed, with stable key order and no timestamps, so the same
-invocation always produces the same bytes.  Exit codes: 0 success, 2 bad
-usage or malformed input, 3 resource cap exceeded, 4 invariant violation.
+Each command parses its arguments, calls the library, hands the results to
+one `serialize` builder and passes that document to `_emit`; no report key
+or format is decided here.  Every report embeds its resolved configuration
+and seed, with stable key order and no timestamps, so the same invocation
+always produces the same bytes.  Exit codes: 0 success, 2 bad usage or
+malformed input, 3 resource cap exceeded, 4 invariant violation.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
 
+from . import serialize
 from .circuit import (
     CircuitError,
     Gate,
@@ -32,12 +34,7 @@ from .constructions import (
     universal_fourier,
     universal_vertex_indicators,
 )
-from .experiments import (
-    parity_table,
-    random_agreement_probe,
-    survival_csv,
-    survival_report,
-)
+from .experiments import parity_table, random_agreement_probe
 from .hardfuncs import ComposedParams
 from .pwl import _grid_axis, first_grid_mismatch, refute_max0xy
 from .restriction import (
@@ -46,17 +43,7 @@ from .restriction import (
     random_ltf_of_relu,
     survival_experiment,
 )
-from .serialize import (
-    circuit_to_json,
-    load_circuit,
-    load_pwl,
-    rational_to_str,
-    refutation_to_json,
-    table_from_hex,
-)
 from .signrank import (
-    RationalMatrix,
-    SignMatrix,
     VertexOrdering,
     _verified_block_bound,
     arkadev_nikhil_matrix,
@@ -129,13 +116,14 @@ def _require_size(args, size: int, noun: str) -> None:
         raise ResourceCapError(f"{size} {noun} exceed the cap of 2^{cap}")
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
+def _emit(args, doc: dict, csv=None) -> None:
+    """Write `serialize.dumps(doc)`, or ``csv()`` under --format csv, to --out or stdout."""
     if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
+        if csv is None:
             raise CircuitError("this command has no CSV form")
-        text = csv_text
+        text = csv()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = serialize.dumps(doc)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -143,17 +131,6 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
         print(f"wrote {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-
-
-def _matrix_csv(matrix: SignMatrix | RationalMatrix) -> str:
-    rows = []
-    for row in matrix.entries:
-        rows.append(
-            ",".join(
-                str(v) if isinstance(v, int) else rational_to_str(v) for v in row
-            )
-        )
-    return "\n".join(rows) + "\n"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -177,12 +154,8 @@ def cmd_construct(args) -> int:
             args.table is not None and args.n is not None,
             f"construct {kind} needs --table <hex> and --n",
         )
-        table = table_from_hex(args.n, args.table)
-        build = (
-            universal_vertex_indicators
-            if kind == "universal-vertex"
-            else universal_fourier
-        )
+        table = serialize.table_from_hex(args.n, args.table)
+        build = universal_vertex_indicators if kind == "universal-vertex" else universal_fourier
         circuit = build(table, cap=_cap(args, args.n))
     elif kind == "ltf2relu":
         _require(args.weights is not None, "construct ltf2relu needs --weights")
@@ -197,7 +170,7 @@ def cmd_construct(args) -> int:
         f"kind={kind} reluGates={circuit.relu_count} depth={circuit.depth} size={circuit.size}",
         file=sys.stderr,
     )
-    _emit(args, circuit_to_json(circuit))
+    _emit(args, serialize.circuit_to_json(circuit))
     return 0
 
 
@@ -208,37 +181,16 @@ def cmd_restrict(args) -> int:
     if args.mode == "apply":
         _require(args.circuit is not None, "restrict apply needs --circuit")
         _require(args.fix is not None, "restrict apply needs --fix")
-        circuit = load_circuit(args.circuit)
+        circuit = serialize.load_circuit(args.circuit)
         rho = Restriction(circuit.input_count, args.fix)
         report = apply_restriction(circuit, rho)
-        payload = {
-            "command": "restrict",
-            "config": {
-                "mode": "apply",
-                "circuit": args.circuit,
-                "fix": {str(k): v for k, v in sorted(args.fix.items())},
-            },
-            "removedAsZero": list(report.removed_as_zero),
-            "linearizedAndRewired": list(report.linearized),
-            "survivors": list(report.survivors),
-            "restrictedCircuit": circuit_to_json(report.restricted),
-        }
-        _emit(args, payload)
+        _emit(args, serialize.restrict_apply_report(args.circuit, args.fix, report))
         return 0
     rows = survival_experiment(args.n_list, args.gates, args.weight_bound, args.trials, args.seed)
-    payload = {
-        "command": "restrict",
-        "config": {
-            "mode": "survival",
-            "nList": args.n_list,
-            "gateCount": args.gates,
-            "weightBound": args.weight_bound,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        **survival_report(rows, args.weight_bound),
-    }
-    _emit(args, payload, csv_text=survival_csv(rows))
+    doc = serialize.survival_report(
+        rows, args.n_list, args.gates, args.weight_bound, args.trials, args.seed
+    )
+    _emit(args, doc, csv=lambda: serialize.survival_csv(rows))
     return 0
 
 
@@ -251,23 +203,13 @@ def cmd_signrank(args) -> int:
         rng = random.Random(args.seed)
         circuit = random_cone_circuit(args.m, args.widths, args.weight_bound, rng)
         sigma = VertexOrdering.standard(args.m)
-        report, matrix = _verified_block_bound(
+        blocks, matrix = _verified_block_bound(
             circuit, args.m, args.weight_bound, sigma, sigma, cap=_cap(args, args.m)
         )
-        payload = {
-            "command": "signrank",
-            "config": {
-                "mode": "random",
-                "m": args.m,
-                "widths": args.widths,
-                "weightBound": args.weight_bound,
-                "seed": args.seed,
-            },
-            **report,
-            "forster": forster_lower_bound(sign_pattern(matrix)),
-            "seed": args.seed,
-        }
-        _emit(args, payload)
+        forster = forster_lower_bound(sign_pattern(matrix))
+        _emit(args, serialize.signrank_random_report(
+            args.m, args.widths, args.weight_bound, args.seed, blocks, forster
+        ))
         return 0
     name = args.name
     _require(name is not None, "signrank function needs --name")
@@ -275,31 +217,18 @@ def cmd_signrank(args) -> int:
         _require(args.m is not None, "inner-product needs --m")
         m = args.m
         matrix = inner_product_matrix(m, cap=_cap(args, m))
-        config = {"mode": "function", "name": name, "m": m}
+        params = None
     else:  # arkadev-nikhil
-        _require(
-            args.blocks is not None and args.block_width is not None,
-            "arkadev-nikhil needs --blocks and --block-width",
-        )
+        _require(args.blocks is not None and args.block_width is not None,
+                 "arkadev-nikhil needs --blocks and --block-width")
         params = ComposedParams(args.blocks, args.block_width)
         m = params.side_bits
         matrix = arkadev_nikhil_matrix(params, cap=_cap(args, m))
-        config = {
-            "mode": "function",
-            "name": name,
-            "blocks": args.blocks,
-            "blockWidth": args.block_width,
-            "m": m,
-        }
-    payload = {
-        "command": "signrank",
-        "config": config,
-        "shape": list(matrix.shape),
-        "forster": forster_lower_bound(matrix),
-        "exactRank": exact_rank(matrix),
-        "signRankIsOne": sign_rank_is_one(matrix),
-    }
-    _emit(args, payload, csv_text=_matrix_csv(matrix))
+    doc = serialize.signrank_function_report(
+        name, m, params, matrix.shape,
+        forster_lower_bound(matrix), exact_rank(matrix), sign_rank_is_one(matrix),
+    )
+    _emit(args, doc, csv=lambda: serialize.matrix_csv(matrix))
     return 0
 
 
@@ -315,26 +244,13 @@ def cmd_random_approx(args) -> int:
         circuit = random_ltf_of_relu(args.n, args.gates, args.weight_bound, rng)
         table = truth_table(circuit, cap=_cap(args, args.n))
         reference = f"random-circuit(gates={args.gates}, weightBound={args.weight_bound})"
-    report = random_agreement_probe(
-        table,
-        args.epsilon,
-        args.trials,
-        args.seed,
-        reference_name=reference,
+    probe = random_agreement_probe(
+        table, args.epsilon, args.trials, args.seed, reference_name=reference,
         cap=_cap(args, args.n),
     )
-    payload = {
-        "command": "random-approx",
-        "config": {
-            "n": args.n,
-            "epsilon": f"{args.epsilon.numerator}/{args.epsilon.denominator}",
-            "trials": args.trials,
-            "seed": args.seed,
-            "reference": reference,
-        },
-        **report,
-    }
-    _emit(args, payload)
+    _emit(args, serialize.random_approx_report(
+        args.n, args.epsilon, args.trials, args.seed, reference, probe
+    ))
     return 0
 
 
@@ -345,38 +261,14 @@ def cmd_refute_max(args) -> int:
     count, _, _ = _grid_axis(args.grid_radius, args.grid_step)
     _require_size(args, (2 * count + 1) ** 2, "grid points")
     if args.pwl is not None:
-        f = load_pwl(args.pwl)
+        f = serialize.load_pwl(args.pwl)
         report = refute_max0xy(f, args.grid_radius, args.grid_step)
-        payload = {
-            "command": "refute-max",
-            "config": {
-                "pwl": args.pwl,
-                "gridRadius": rational_to_str(Fraction(args.grid_radius)),
-                "gridStep": rational_to_str(Fraction(args.grid_step)),
-            },
-            **refutation_to_json(report),
-        }
-        _emit(args, payload)
+        _emit(args, serialize.refute_pwl_report(args.pwl, args.grid_radius, args.grid_step, report))
         return 0
-    circuit = load_circuit(args.circuit)
+    circuit = serialize.load_circuit(args.circuit)
     mismatch = first_grid_mismatch(circuit, args.grid_radius, args.grid_step)
-    payload = {
-        "command": "refute-max",
-        "config": {
-            "circuit": args.circuit,
-            "gridRadius": rational_to_str(Fraction(args.grid_radius)),
-            "gridStep": rational_to_str(Fraction(args.grid_step)),
-        },
-        "verified": mismatch is None,
-        "mismatch": None
-        if mismatch is None
-        else {
-            "point": [rational_to_str(mismatch[0][0]), rational_to_str(mismatch[0][1])],
-            "got": rational_to_str(mismatch[1]),
-            "want": rational_to_str(mismatch[2]),
-        },
-    }
-    _emit(args, payload)
+    doc = serialize.refute_circuit_report(args.circuit, args.grid_radius, args.grid_step, mismatch)
+    _emit(args, doc)
     return 0
 
 

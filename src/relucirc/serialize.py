@@ -1,5 +1,10 @@
-"""JSON documents: circuits, planar ReLU sums and refutation reports, plus
-hex truth tables.
+"""Every document the package reads or writes: circuits, planar ReLU sums,
+the CLI's reports and their CSV forms, plus hex truth tables.
+
+This module is the one place that knows a format.  Each CLI command hands
+its results to one builder here (`circuit_to_json`, or a ``*_report`` and
+its CSV form), which also writes the command's ``config`` block.  `_json_text`
+is the one JSON format, which files get piece by piece, and `_read_json` the one reader.
 
 Output writes every rational as a "p/q" string in lowest terms.  Input
 accepts any string `fractions.Fraction` parses ("2/4", " 1/2", "0.5", "3"),
@@ -14,25 +19,17 @@ share one `Fraction`.  The circuit document shape is::
 and a ReLU sum is ``{"terms": [{"coeff": ..., "normal": [..., ...], "bias": ...}]}``.
 
 Circuit weights are keyed by wire ids: ``x<i>`` for input i and ``g<k>.<j>``
-for gate j of hidden layer k, both 1-based.  This module is the only place
-that knows the format: in memory a form's weights are keyed by the 0-based
-position it reads in the layer below, so `circuit_from_json` maps each id
-through the ids of that layer and rejects ids of any other layer.
+for gate j of hidden layer k, both 1-based; in memory, the 0-based position
+read in the layer below.  Both directions spell or parse only the ids a
+document holds, so their cost follows the document, not a declared width.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator, Sequence
 
-from .circuit import (
-    AffineForm,
-    ArityError,
-    Circuit,
-    Gate,
-    GateKind,
-    TruthTable,
-)
+from .circuit import AffineForm, ArityError, Circuit, Gate, GateKind, TruthTable
 from .pwl import PwlSum, PwlTerm, RefutationReport
 
 
@@ -41,7 +38,7 @@ class FormatError(ArityError):
 
 
 def rational_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)  # a copy of a Fraction costs 1 us
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -55,24 +52,41 @@ def rational_from_str(text: str) -> Fraction:
     return q
 
 
-def input_wire(i: int) -> str:
-    """1-based input coordinate i -> wire id."""
-    return f"x{i}"
-
-
 def gate_wire(layer: int, pos: int) -> str:
     """1-based layer and position -> wire id of that gate's output."""
     return f"g{layer}.{pos}"
 
 
-def _wire_ids(layer: int, width: int) -> list[str]:
-    """The wire ids of a layer's positions: the inputs (layer 0) or its gates."""
-    if layer == 0:
-        return [input_wire(i + 1) for i in range(width)]
-    return [gate_wire(layer, j + 1) for j in range(width)]
+class _WireIds(dict):
+    """0-based position -> wire id in one layer of ``width`` positions (layer
+    0 being the inputs), spelled when first asked for, so the gates that read
+    one position share one string."""
+
+    def __init__(self, layer: int, width: int):
+        self.prefix = "x" if layer == 0 else f"g{layer}."
+        self.width, self.digits = width, len(str(width))
+
+    def __missing__(self, pos: int) -> str:
+        wire = self[pos] = f"{self.prefix}{pos + 1}"
+        return wire
 
 
-def _form_to_json(form: AffineForm, ids: list[str]) -> dict[str, Any]:
+class _WireIndex(_WireIds):
+    """The inverse: wire id -> 0-based position, or None for an id that is no
+    wire of the layer.  Each id is parsed when first met, so the index holds
+    only the ids a document spells."""
+
+    def __missing__(self, wire: Any) -> int | None:
+        ours = isinstance(wire, str) and wire.startswith(self.prefix)
+        digits = wire[len(self.prefix):] if ours else ""
+        fits = digits.isascii() and digits.isdigit() and len(digits) <= self.digits
+        i = int(digits) if fits else 0
+        # only the canonical spelling, the one `circuit_to_json` writes
+        pos = self[wire] = i - 1 if 0 < i <= self.width and str(i) == digits else None
+        return pos
+
+
+def _form_to_json(form: AffineForm, ids: _WireIds) -> dict[str, Any]:
     return {
         "weights": dict(sorted((ids[p], rational_to_str(w)) for p, w in form.weights.items())),
         "bias": rational_to_str(form.bias),
@@ -89,7 +103,7 @@ def _rational(text: Any, parsed: dict[str, Fraction]) -> Fraction:
 
 
 def _form_from_json(
-    doc: Any, index: dict[str, int], reader: str, parsed: dict[str, Fraction]
+    doc: Any, index: _WireIndex, reader: str, parsed: dict[str, Fraction]
 ) -> AffineForm:
     """The form in ``doc``, whose weight keys must be wire ids in ``index``."""
     if not isinstance(doc, dict) or "weights" not in doc or "bias" not in doc:
@@ -98,22 +112,21 @@ def _form_from_json(
         raise FormatError(f"{reader}: 'weights' must be an object")
     weights = {}
     for wire, text in doc["weights"].items():
-        if wire not in index:
+        pos = index[wire]
+        if pos is None:
             raise FormatError(f"{reader}: {wire!r} is not a wire of the layer it reads")
         q = _rational(text, parsed)
         if q:
-            weights[index[wire]] = q
+            weights[pos] = q
     return AffineForm(weights, _rational(doc["bias"], parsed))
 
 
-def _gate_to_json(gate: Gate, ids: list[str]) -> dict[str, Any]:
-    doc = {"kind": gate.kind.value}
-    doc.update(_form_to_json(gate.form, ids))
-    return doc
+def _gate_to_json(gate: Gate, ids: _WireIds) -> dict[str, Any]:
+    return {"kind": gate.kind.value, **_form_to_json(gate.form, ids)}
 
 
 def _gate_from_json(
-    doc: Any, index: dict[str, int], reader: str, parsed: dict[str, Fraction]
+    doc: Any, index: _WireIndex, reader: str, parsed: dict[str, Fraction]
 ) -> Gate:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{reader} needs a 'kind'")
@@ -125,19 +138,15 @@ def _gate_from_json(
 
 
 def circuit_to_json(circuit: Circuit) -> dict[str, Any]:
-    inputs = _wire_ids(0, circuit.input_count)
-    ids = inputs
-    layers = []
-    for k, layer in enumerate(circuit.layers, start=1):
-        layers.append([_gate_to_json(g, ids) for g in layer])
-        ids = _wire_ids(k, len(layer))
+    ids = [_WireIds(k, w) for k, w in enumerate((circuit.input_count, *circuit.widths))]
+    skip = circuit.skip_wires
     return {
         "inputCount": circuit.input_count,
-        "layers": layers,
-        "outputGate": _gate_to_json(circuit.output_gate, ids),
-        "skipWires": None
-        if circuit.skip_wires is None
-        else _form_to_json(circuit.skip_wires, inputs),
+        "layers": [
+            [_gate_to_json(g, ids[k]) for g in layer] for k, layer in enumerate(circuit.layers)
+        ],
+        "outputGate": _gate_to_json(circuit.output_gate, ids[-1]),
+        "skipWires": None if skip is None else _form_to_json(skip, ids[0]),
     }
 
 
@@ -150,12 +159,11 @@ def circuit_from_json(doc: Any) -> Circuit:
     if missing:
         raise FormatError(f"circuit document missing {sorted(missing)}")
     n = doc["inputCount"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise FormatError("inputCount must be a nonnegative integer")
     if not isinstance(doc["layers"], list):
         raise FormatError("layers must be a list")
-    inputs = {wire: i for i, wire in enumerate(_wire_ids(0, n))}
-    index = inputs
+    inputs = index = _WireIndex(0, n)
     parsed: dict[str, Fraction] = {}
     layers = []
     for k, layer in enumerate(doc["layers"], start=1):
@@ -165,7 +173,7 @@ def circuit_from_json(doc: Any) -> Circuit:
             _gate_from_json(g, index, gate_wire(k, j), parsed)
             for j, g in enumerate(layer, start=1)
         ))
-        index = {wire: j for j, wire in enumerate(_wire_ids(k, len(layer)))}
+        index = _WireIndex(k, len(layer))
     skip = doc.get("skipWires")
     return Circuit(
         input_count=n,
@@ -177,19 +185,33 @@ def circuit_from_json(doc: Any) -> Circuit:
     )
 
 
+def _json_text(doc: Any) -> Iterator[str]:
+    """The one JSON format, in pieces: indent 2, sorted keys, a trailing newline."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    yield "\n"
+
+
+def dumps(doc: Any) -> str:
+    """The one JSON writer, as one string."""
+    return "".join(_json_text(doc))
+
+
+def _read_json(path: str) -> Any:
+    """The one JSON reader: the UTF-8 document at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"not valid JSON: {e}") from None
+
+
 def dump_circuit(circuit: Circuit, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_text(circuit_to_json(circuit)))
 
 
 def load_circuit(path: str) -> Circuit:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}") from None
-    return circuit_from_json(doc)
+    return circuit_from_json(_read_json(path))
 
 
 def table_from_hex(arity: int, text: str) -> TruthTable:
@@ -201,17 +223,16 @@ def table_from_hex(arity: int, text: str) -> TruthTable:
         raise FormatError(f"bad hex table: {e}") from None
 
 
+def _pair(p) -> list[str]:
+    return [rational_to_str(p[0]), rational_to_str(p[1])]
+
+
 def pwl_to_json(f: PwlSum) -> dict:
-    return {
-        "terms": [
-            {
-                "coeff": rational_to_str(t.coeff),
-                "normal": [rational_to_str(t.normal[0]), rational_to_str(t.normal[1])],
-                "bias": rational_to_str(t.bias),
-            }
-            for t in f.terms
-        ]
-    }
+    return {"terms": [
+        {"coeff": rational_to_str(t.coeff), "normal": _pair(t.normal),
+         "bias": rational_to_str(t.bias)}
+        for t in f.terms
+    ]}
 
 
 def pwl_from_json(doc: dict) -> PwlSum:
@@ -237,27 +258,19 @@ def pwl_from_json(doc: dict) -> PwlSum:
 
 def dump_pwl(f: PwlSum, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pwl_to_json(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(_json_text(pwl_to_json(f)))
 
 
 def load_pwl(path: str) -> PwlSum:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    return pwl_from_json(doc)
+    return pwl_from_json(_read_json(path))
 
 
 def refutation_to_json(report: RefutationReport) -> dict:
     w = report.witness
     witness = {
         "kind": w.kind,
-        "point": [rational_to_str(w.point[0]), rational_to_str(w.point[1])],
-        "direction": None
-        if w.direction is None
-        else [rational_to_str(w.direction[0]), rational_to_str(w.direction[1])],
+        "point": _pair(w.point),
+        "direction": None if w.direction is None else _pair(w.direction),
         "fResult": rational_to_str(w.f_result),
         "targetResult": rational_to_str(w.target_result),
     }
@@ -266,10 +279,140 @@ def refutation_to_json(report: RefutationReport) -> dict:
             {
                 "normal": list(loc.line.normal),
                 "offset": rational_to_str(loc.line.offset),
-                "jump": [rational_to_str(loc.jump[0]), rational_to_str(loc.jump[1])],
+                "jump": _pair(loc.jump),
             }
             for loc in report.locus.lines
         ],
         "witness": witness,
         "gridMaxError": rational_to_str(report.grid_max_error),
+    }
+
+
+# ---------------------------------------------------------------------------
+# CLI reports, from the values a command resolved and the library's results
+# (read by attribute: their modules import this one)
+
+
+def restrict_apply_report(circuit_path: str, fix: dict[int, int], report) -> dict:
+    return {
+        "command": "restrict",
+        "config": {
+            "mode": "apply", "circuit": circuit_path,
+            "fix": {str(k): v for k, v in sorted(fix.items())},
+        },
+        "removedAsZero": list(report.removed_as_zero),
+        "linearizedAndRewired": list(report.linearized),
+        "survivors": list(report.survivors),
+        "restrictedCircuit": circuit_to_json(report.restricted),
+    }
+
+
+# one survival row's keys, in the order of its CSV columns and of its values
+_SURVIVAL_COLUMNS = ("n", "gateCount", "W", "trials", "meanSurvival", "ci95lo", "ci95hi", "seed")
+
+
+def _survival_values(r) -> tuple:
+    return (r.n, r.gate_count, r.bound, r.trials, r.mean_survival, r.ci95_lo, r.ci95_hi, r.seed)
+
+
+def survival_report(
+    rows: Sequence, n_list: Sequence[int], gate_count: int, bound: int, trials: int, seed: int
+) -> dict:
+    return {
+        "command": "restrict",
+        "config": {
+            "mode": "survival", "nList": n_list, "gateCount": gate_count,
+            "weightBound": bound, "trials": trials, "seed": seed,
+        },
+        "weightDist": {"name": "uniform_int", "bound": bound},
+        "rows": [dict(zip(_SURVIVAL_COLUMNS, _survival_values(r))) for r in rows],
+    }
+
+
+def survival_csv(rows: Sequence) -> str:
+    """The rows under a header line; every value as `repr` writes it, as in JSON."""
+    lines = [_SURVIVAL_COLUMNS, *(map(repr, _survival_values(r)) for r in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def block_bound_report(m: int, bound: int, widths, partition, block_bound: int, rank: int) -> dict:
+    """`signrank.verify_block_bound`'s report of what it measured."""
+    return {
+        "m": m, "W": bound, "widths": list(widths), "rowBlocks": partition.row_blocks,
+        "colBlocks": partition.col_blocks, "bound": block_bound, "exactRank": rank,
+    }
+
+
+def signrank_random_report(
+    m: int, widths: Sequence[int], bound: int, seed: int, blocks: dict, forster: float
+) -> dict:
+    """``blocks`` is `block_bound_report`'s document."""
+    return {
+        "command": "signrank",
+        "config": {"mode": "random", "m": m, "widths": widths, "weightBound": bound, "seed": seed},
+        **blocks,
+        "forster": forster,
+        "seed": seed,
+    }
+
+
+def signrank_function_report(
+    name: str, m: int, params, shape: tuple[int, int], forster: float, rank: int, is_one: bool
+) -> dict:
+    """``params`` is the function's `hardfuncs.ComposedParams`, or None."""
+    config = {"mode": "function", "name": name, "m": m}
+    if params is not None:
+        config.update(blocks=params.blocks, blockWidth=params.block_width)
+    return {
+        "command": "signrank", "config": config, "shape": list(shape), "forster": forster,
+        "exactRank": rank, "signRankIsOne": is_one,
+    }
+
+
+def matrix_csv(matrix) -> str:
+    """A `signrank` sign or rational matrix, one row a line."""
+    return "".join(
+        ",".join(str(v) if isinstance(v, int) else rational_to_str(v) for v in row) + "\n"
+        for row in matrix.entries
+    )
+
+
+def random_approx_report(
+    n: int, epsilon: Fraction, trials: int, seed: int, reference: str, probe
+) -> dict:
+    return {
+        "command": "random-approx",
+        "config": {
+            "n": n, "epsilon": rational_to_str(epsilon), "trials": trials, "seed": seed,
+            "reference": reference,
+        },
+        "n": probe.n, "epsilon": rational_to_str(probe.epsilon), "trials": probe.trials,
+        "seed": probe.seed, "reference": probe.reference,
+        "minAgreementCount": probe.min_agreement_count, "hits": probe.hits,
+        "empirical": probe.empirical, "chernoffBound": probe.chernoff_bound,
+        "exactTail": probe.exact_tail, "threeStandardErrors": probe.three_standard_errors,
+    }
+
+
+def _refute_config(source: str, path: str, radius: Fraction, step: Fraction) -> dict:
+    grid = {"gridRadius": rational_to_str(radius), "gridStep": rational_to_str(step)}
+    return {"command": "refute-max", "config": {source: path, **grid}}
+
+
+def refute_pwl_report(
+    path: str, radius: Fraction, step: Fraction, report: RefutationReport
+) -> dict:
+    return {**_refute_config("pwl", path, radius, step), **refutation_to_json(report)}
+
+
+def refute_circuit_report(path: str, radius: Fraction, step: Fraction, mismatch) -> dict:
+    """``mismatch`` is `pwl.first_grid_mismatch`'s (point, got, want), or None."""
+    return {
+        **_refute_config("circuit", path, radius, step),
+        "verified": mismatch is None,
+        "mismatch": None if mismatch is None else {
+            "point": _pair(mismatch[0]),
+            "got": rational_to_str(mismatch[1]),
+            "want": rational_to_str(mismatch[2]),
+        },
     }

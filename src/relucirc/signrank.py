@@ -45,7 +45,7 @@ from .circuit import (
     vertex,
 )
 from .hardfuncs import ComposedParams, arkadev_nikhil
-from .serialize import gate_wire
+from .serialize import block_bound_report, gate_wire
 
 
 def _cube_dots(m: int, r: Sequence[int | Fraction]) -> np.ndarray:
@@ -708,13 +708,4 @@ def _verified_block_bound(
         raise InvariantViolationError(
             f"rank {rank} exceeds min block count"
         )
-    report = {
-        "m": m,
-        "W": bound,
-        "widths": list(circuit.widths),
-        "rowBlocks": partition.row_blocks,
-        "colBlocks": partition.col_blocks,
-        "bound": block_bound,
-        "exactRank": rank,
-    }
-    return report, matrix
+    return block_bound_report(m, bound, circuit.widths, partition, block_bound, rank), matrix

@@ -303,8 +303,8 @@ def test_10_agreement_tail(announce):
             parity_table(10), Fraction(1, 5), 100_000, seed=2026,
             reference_name="parity",
         )
-        slack = report["chernoffBound"] + report["threeStandardErrors"]
-        assert report["empirical"] <= slack
+        slack = report.chernoff_bound + report.three_standard_errors
+        assert report.empirical <= slack
 
     announce(10, "agreement-tail", 30.0, body)
 

@@ -1,6 +1,7 @@
 """Core circuit representation: exact evaluation and truth tables."""
 
 import gc
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucirc import (
+    AffineForm,
     ArityError,
     Circuit,
     ContractError,
@@ -160,6 +162,23 @@ def test_read_check_takes_the_keys_equal_to_a_position():
         Circuit(2, (), Gate(GateKind.SUM, affine({0: 1})), affine({Fraction(1, 2): 1}))
     with pytest.raises(WireError, match=r"^gate 2 of layer 2: \[-1, 3\] not among the 3"):
         Circuit(1, (gates, (gates[0], Gate(GateKind.SUM, affine({3: 1, -1: 1})))), gates[0])
+
+
+@pytest.mark.parametrize("key", [Fraction(1), 1.0])
+def test_a_weight_key_that_is_no_int_is_a_wire_error_at_construction(key):
+    # equal to position 1, but no int: the forward pass could not index by it
+    form = AffineForm({key: Fraction(1)}, Fraction(0))
+    plain = AffineForm({0: Fraction(1)}, Fraction(0))
+    for build in (
+        lambda: Circuit(2, (), Gate(GateKind.LTF, form)),
+        lambda: Circuit(2, ((Gate(GateKind.RELU, form),),), Gate(GateKind.LTF, plain)),
+        lambda: Circuit(2, (), Gate(GateKind.LTF, plain), form),
+    ):
+        with pytest.raises(WireError, match=rf"\[{re.escape(repr(key))}\] not among the 2 positions"):
+            build()
+    # True is an int, and stays a position
+    c = Circuit(2, (), Gate(GateKind.LTF, AffineForm({True: Fraction(1)}, Fraction(0))))
+    assert truth_table(c) == scalar_table(c)
 
 
 @pytest.mark.parametrize("key", [True, Fraction(1)])

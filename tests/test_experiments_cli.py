@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -40,12 +41,14 @@ from relucirc import (
 )
 from relucirc.circuit import vertex
 from relucirc.cli import build_parser, main
-from relucirc.experiments import parity_table, random_agreement_probe, survival_report
+from relucirc.experiments import parity_table, random_agreement_probe
 from relucirc.restriction import SurvivalRow, random_ltf_of_relu
 from relucirc.serialize import (
     circuit_from_json,
     circuit_to_json,
     dump_pwl,
+    random_approx_report,
+    survival_report,
     table_from_hex,
 )
 
@@ -96,24 +99,26 @@ def probe_hits_oracle(reference, epsilon, trials, seed):
 
 
 def test_probe_report_fields_and_counts():
-    report = random_agreement_probe(parity_table(5), Fraction(1, 4), 400, 7)
-    assert set(report) == REPORT_KEYS
-    assert report["n"] == 5
+    probe = random_agreement_probe(parity_table(5), Fraction(1, 4), 400, 7)
+    report = random_approx_report(5, Fraction(1, 4), 400, 7, "custom", probe)
+    assert set(report) == REPORT_KEYS | {"command", "config"}
     assert report["epsilon"] == "1/4"
-    assert report["trials"] == 400
-    assert report["seed"] == 7
-    assert report["reference"] == "custom"
-    assert report["hits"] == probe_hits_oracle(parity_table(5), "1/4", 400, 7)
-    assert report["empirical"] == report["hits"] / 400
-    assert 0.0 <= report["empirical"] <= 1.0
+    assert probe.n == 5
+    assert probe.epsilon == Fraction(1, 4)
+    assert probe.trials == 400
+    assert probe.seed == 7
+    assert probe.reference == "custom"
+    assert probe.hits == probe_hits_oracle(parity_table(5), "1/4", 400, 7)
+    assert probe.empirical == probe.hits / 400
+    assert 0.0 <= probe.empirical <= 1.0
 
 
 def test_probe_threshold_is_a_ceiling():
     # (1/2 + 1/4) * 8 = 6 exactly; (1/2 + 1/5) * 8 = 5.6 rounds up
     r1 = random_agreement_probe(parity_table(3), Fraction(1, 4), 5, 0)
     r2 = random_agreement_probe(parity_table(3), Fraction(1, 5), 5, 0)
-    assert r1["minAgreementCount"] == 6
-    assert r2["minAgreementCount"] == 6
+    assert r1.min_agreement_count == 6
+    assert r2.min_agreement_count == 6
 
 
 def test_probe_is_deterministic():
@@ -121,7 +126,7 @@ def test_probe_is_deterministic():
     b = random_agreement_probe(parity_table(6), Fraction(1, 8), 300, 42)
     assert a == b
     c = random_agreement_probe(parity_table(6), Fraction(1, 8), 300, 43)
-    assert c["seed"] != a["seed"]
+    assert c.seed != a.seed
 
 
 def test_probe_arity_cap():
@@ -129,7 +134,7 @@ def test_probe_arity_cap():
     with pytest.raises(ResourceCapError):
         random_agreement_probe(big, Fraction(1, 4), 1, 0)
     report = random_agreement_probe(big, Fraction(1, 4), 3, 0, cap=17)
-    assert report["n"] == 17
+    assert report.n == 17
 
 
 def test_probe_rejects_empty_runs():
@@ -149,9 +154,9 @@ def binomial_tail_oracle(n_points, least):
 ])
 def test_probe_reports_the_exact_tail_below_the_bound(n, epsilon):
     report = random_agreement_probe(parity_table(n), Fraction(epsilon), 3, 0)
-    tail = binomial_tail_oracle(1 << n, report["minAgreementCount"])
-    assert report["exactTail"] == float(tail)
-    assert report["exactTail"] <= report["chernoffBound"]
+    tail = binomial_tail_oracle(1 << n, report.min_agreement_count)
+    assert report.exact_tail == float(tail)
+    assert report.exact_tail <= report.chernoff_bound
 
 
 def test_probe_raises_only_on_a_tail_above_the_bound(monkeypatch):
@@ -181,7 +186,11 @@ def test_survival_csv_layout():
 
 
 def test_survival_report_shape():
-    doc = survival_report(FAKE_ROWS, 2)
+    doc = survival_report(FAKE_ROWS, [8, 16], 4, 2, 10, 3)
+    assert doc["config"] == {
+        "mode": "survival", "nList": [8, 16], "gateCount": 4, "weightBound": 2,
+        "trials": 10, "seed": 3,
+    }
     assert doc["weightDist"] == {"name": "uniform_int", "bound": 2}
     assert [r["n"] for r in doc["rows"]] == [8, 16]
     assert set(doc["rows"][0]) == {
@@ -563,7 +572,7 @@ def test_probe_bound_near_the_underflow_is_the_float_formula(n):
     for k in range(740, 751):
         eps = Fraction(math.isqrt(k * 10**12 >> (n + 1)), 10**6)
         report = random_agreement_probe(table, eps, 1, 0, cap=n)
-        assert report["chernoffBound"] == math.exp(-float(2 ** (n + 1)) * float(eps) ** 2)
+        assert report.chernoff_bound == math.exp(-float(2 ** (n + 1)) * float(eps) ** 2)
 
 
 def test_cli_random_approx_cap_and_lift(capsys):
@@ -764,6 +773,7 @@ BAD_CIRCUIT_FILES = {
     "out-of-range": json.dumps(_one_relu_doc({"g1.2": "1/1"})),
     "weights-list": json.dumps(_one_relu_doc([1, 2])),
     "parity": json.dumps(circuit_to_json(parity_sum_of_relu(3))),
+    "input-count-true": json.dumps({**_one_relu_doc({"g1.1": "1/1"}), "inputCount": True}),
 }
 
 
@@ -778,6 +788,8 @@ BAD_CIRCUIT_FILES = {
     ["restrict", "apply", "--circuit", "out-of-range", "--fix", "1=1"],
     ["restrict", "apply", "--circuit", "weights-list", "--fix", "1=1"],
     ["refute-max", "--circuit", "weights-list"],
+    ["restrict", "apply", "--circuit", "input-count-true", "--fix", "1=1"],
+    ["refute-max", "--circuit", "input-count-true"],
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=0"],
     ["restrict", "apply", "--circuit", "parity", "--fix", "1=+1,1=-1"],
     ["signrank", "random", "--m", "2", "--weight-bound", "-1"],
@@ -1033,3 +1045,92 @@ def test_cli_exits_0_2_or_3_with_one_error_line_and_the_same_bytes(argv):
     else:
         assert out
     assert _run_captured(argv) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# CLI contract, over documents mutated from the golden inputs
+
+_INPUT_DOCUMENTS = {
+    path.name: json.loads(path.read_text()) for path in sorted(GOLDEN.glob("input_*.json"))
+}
+_WRONG_TYPES = [None, True, 1, 2.5, "x", [], {}]
+_INPUT_COUNTS = [-1, 0, 1, 2, 3, 64, True, "2", 2.5]
+
+
+def _nodes(node, path=()):
+    """(path, node) of every object and list in a document, the root first."""
+    if isinstance(node, (dict, list)):
+        yield path, node
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(value, (*path, key))
+
+
+@st.composite
+def _mutated_document(draw):
+    """A golden input with one mutation: a dropped key, a value of the wrong
+    type, a weight of "1/0" or "x", a wire id past its layer, an empty layer,
+    an unknown gate kind, or a drawn inputCount."""
+    name = draw(st.sampled_from(sorted(_INPUT_DOCUMENTS)))
+    doc = json.loads(json.dumps(_INPUT_DOCUMENTS[name]))
+    nodes = list(_nodes(doc))
+    objects = [node for _, node in nodes if isinstance(node, dict) and node]
+    forms = [node for _, node in nodes if isinstance(node, dict) and "weights" in node]
+    layers = doc.get("layers", [])
+    mutation = draw(st.sampled_from(
+        ["drop", "type", "weight", "wire", "empty-layer", "kind", "input-count"]
+    ))
+    if mutation == "drop":
+        target = draw(st.sampled_from(objects))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif mutation == "type":
+        _, target = draw(st.sampled_from(nodes))
+        keys = sorted(target) if isinstance(target, dict) else range(len(target))
+        if keys:
+            target[draw(st.sampled_from(list(keys)))] = draw(st.sampled_from(_WRONG_TYPES))
+    elif mutation == "weight":
+        bad = draw(st.sampled_from(["1/0", "x"]))
+        if forms:
+            form = draw(st.sampled_from(forms))
+            keys = sorted(form["weights"]) or ["bias"]
+            (form["weights"] if form["weights"] else form)[draw(st.sampled_from(keys))] = bad
+        else:  # a ReLU sum's term
+            term = draw(st.sampled_from(doc["terms"]))
+            term[draw(st.sampled_from(["coeff", "bias"]))] = bad
+    elif mutation == "wire" and forms:
+        k = draw(st.integers(0, len(layers)))
+        width = doc["inputCount"] if k == 0 else len(layers[k - 1])
+        wire = f"x{width + 1}" if k == 0 else f"g{k}.{width + 1}"
+        readers = layers[k] if k < len(layers) else [doc["outputGate"]]
+        draw(st.sampled_from(readers))["weights"][wire] = "1/1"
+    elif mutation == "empty-layer" and layers:
+        if draw(st.booleans()):
+            layers[draw(st.integers(0, len(layers) - 1))] = []
+        else:
+            layers.insert(draw(st.integers(0, len(layers))), [])
+    elif mutation == "kind" and forms:
+        gates = [g for g in forms if "kind" in g]
+        draw(st.sampled_from(gates))["kind"] = draw(st.sampled_from(["NAND", "relu", "", 0]))
+    elif mutation == "input-count":
+        doc["inputCount"] = draw(st.sampled_from(_INPUT_COUNTS))
+    return doc
+
+
+@given(_mutated_document(), st.sampled_from([
+    ["restrict", "apply", "--circuit", "{}", "--fix", "1=1"],
+    ["refute-max", "--circuit", "{}", "--grid-radius", "2"],
+    ["refute-max", "--pwl", "{}", "--grid-radius", "2"],
+]))
+@settings(max_examples=150, deadline=None)
+def test_cli_on_mutated_documents_exits_0_2_or_3_with_one_error_line(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{}" else a for a in argv]
+        code, out, err = _run_captured(argv)
+        assert code in (0, 2, 3), (argv, doc, err)
+        assert "Traceback" not in err
+        if code:
+            assert sum("error:" in line for line in err.splitlines()) == 1, err
+        else:
+            assert out
+        assert _run_captured(argv) == (code, out, err)

@@ -1,11 +1,16 @@
-"""Circuit JSON documents and hex truth-table strings."""
+"""Circuit JSON documents, hex truth-table strings, and the one report path."""
 
+import ast
+import json
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relucirc
 from relucirc import (
     AffineForm,
     Circuit,
@@ -16,9 +21,11 @@ from relucirc import (
     circuit_from_json,
     circuit_to_json,
     dump_circuit,
+    max0xy_depth2,
     table_from_hex,
 )
-from relucirc.serialize import load_circuit, rational_from_str, rational_to_str
+from relucirc.cli import main
+from relucirc.serialize import load_circuit, load_pwl, rational_from_str, rational_to_str
 
 from conftest import random_circuit
 
@@ -235,3 +242,151 @@ def test_table_hex_wrappers():
         table_from_hex(4, "699")  # wrong digit count
     with pytest.raises(FormatError):
         table_from_hex(4, "zzzz")
+
+
+def test_inputs_beyond_the_document_cost_nothing(tmp_path, capsys):
+    # 2^40 declared inputs and no weight: reading and writing the document
+    # spell only the ids it holds
+    n = 1 << 40
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"inputCount": n, "layers": [], "outputGate": {"kind": "SUM", "weights": {}, "bias": "0"}}
+    ))
+    tracemalloc.start()
+    try:
+        circuit = load_circuit(str(path))
+        doc = circuit_to_json(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert doc["inputCount"] == n and doc["outputGate"]["weights"] == {}
+    assert main(["refute-max", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_wire_ids_of_a_wide_layer_resolve_without_listing_it():
+    n = 1 << 40
+    doc = {"inputCount": n, "layers": [],
+           "outputGate": {"kind": "SUM", "weights": {f"x{n}": "2", "x1": "1"}, "bias": "0"}}
+    circuit = circuit_from_json(doc)
+    assert circuit.output_gate.form.weights == {n - 1: 2, 0: 1}
+    assert circuit_to_json(circuit)["outputGate"]["weights"] == {"x1": "1/1", f"x{n}": "2/1"}
+    for wire in (f"x{n + 1}", "x0", "x01", "x+1", "x 1", "x1.0", "x\u0661", "g1.1", "x"):
+        doc["outputGate"]["weights"] = {wire: "1"}
+        with pytest.raises(FormatError, match="is not a wire of the layer it reads"):
+            circuit_from_json(doc)
+
+
+def test_input_count_must_be_an_int_not_a_bool():
+    for n in (True, False, "2", 2.5, -1, None):
+        with pytest.raises(FormatError, match="inputCount"):
+            circuit_from_json({"inputCount": n, "layers": [], "outputGate": {
+                "kind": "SUM", "weights": {}, "bias": "0"}})
+
+
+def test_both_readers_give_one_error_for_text_that_is_not_json(tmp_path, capsys):
+    # bytes that are not UTF-8 were a traceback through the CLI
+    path = tmp_path / "bad.json"
+    for raw in (b"{not json", b"\xff\xfe{}"):
+        path.write_bytes(raw)
+        for load, flag in ((load_circuit, "--circuit"), (load_pwl, "--pwl")):
+            with pytest.raises(FormatError, match="^not valid JSON: "):
+                load(str(path))
+            assert main(["refute-max", flag, str(path)]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: not valid JSON: ")
+
+
+# ---------------------------------------------------------------------------
+# one report path: only serialize.py writes JSON or spells a report key
+
+SRC = Path(relucirc.__file__).resolve().parent
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _report_keys():
+    """Every key with a capital letter in the output goldens (the reports'
+    camelCase keys and "W") and in the CSV goldens' header lines."""
+    keys = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            keys.update(node)
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    for path in sorted(GOLDEN.iterdir()):
+        if path.name.startswith("input_"):
+            continue
+        if path.suffix == ".json":
+            walk(json.loads(path.read_text()))
+        elif path.suffix == ".csv":
+            keys.update(path.read_text().splitlines()[0].split(","))
+    return {key for key in keys if key != key.lower()}
+
+
+def _modules_other_than_serialize():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "serialize.py":
+            yield path.name, ast.parse(path.read_text())
+
+
+def test_the_goldens_hold_27_report_keys():
+    keys = _report_keys()
+    assert len(keys) == 27
+    assert {"W", "inputCount", "removedAsZero", "nList", "signRankIsOne", "gridRadius"} <= keys
+
+
+def test_no_module_but_serialize_writes_json():
+    for name, tree in _modules_other_than_serialize():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in (("json", "dump"), ("json", "dumps")), name
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                assert not {a.name for a in node.names} & {"dump", "dumps"}, name
+
+
+def test_no_module_but_serialize_spells_a_report_key():
+    keys = _report_keys()
+    for name, tree in _modules_other_than_serialize():
+        spelled = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys
+        }
+        assert not spelled, f"{name} spells {sorted(spelled)}"
+
+
+def test_dump_circuit_writes_the_bytes_construct_prints(tmp_path, capsys):
+    dump_circuit(max0xy_depth2(), str(tmp_path / "max.json"))
+    assert main(["construct", "max0xy"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "max.json").read_text(encoding="utf-8")
+
+
+_DEPTH2 = str(GOLDEN / "input_restrict_depth2.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "parity", "--k", "3"],
+    ["restrict", "apply", "--circuit", _DEPTH2, "--fix", "1=1,4=-1"],
+    ["restrict", "survival", "--n-list", "8", "--gates", "2", "--trials", "3"],
+    ["restrict", "survival", "--n-list", "8", "--gates", "2", "--trials", "3", "--format", "csv"],
+    ["signrank", "random", "--m", "2"],
+    ["signrank", "function", "--name", "inner-product", "--m", "2", "--format", "csv"],
+    ["random-approx", "--n", "3", "--epsilon", "1/4", "--trials", "5"],
+    ["refute-max", "--pwl", str(GOLDEN / "input_pwl_two-term.json")],
+    ["refute-max", "--circuit", str(GOLDEN / "input_circuit_max0xy.json"), "--grid-radius", "2"],
+], ids=" ".join)
+def test_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
