@@ -270,6 +270,19 @@ CONSTRUCT_GOLDEN = [
         "construct_universal-fourier_n5_tablecb91ce37.json",
         ["universal-fourier", "--n", "5", "--table", "cb91ce37"],
     ),
+    # both routes at n = 6 and 8: a random table (at n = 6 every block, at
+    # n = 8 a spectrum with 26 zeros) and sign(x1 + x2 + x3) times the last
+    # two coordinates, whose spectrum keeps 4 blocks
+    *(
+        (f"construct_{kind}_n{n}_table{table}.json", [kind, "--n", str(n), "--table", table])
+        for kind in ("universal-vertex", "universal-fourier")
+        for n, table in (
+            (6, "4cdd3ad14fc47269"),
+            (6, "1717e8e8e8e81717"),
+            (8, "2acf832f06bfaa6a9b2a65a560f6c3e67232cfd0c5f020816afd35b73f4dd7d0"),
+            (8, "1717171717171717e8e8e8e8e8e8e8e8e8e8e8e8e8e8e8e81717171717171717"),
+        )
+    ),
 ]
 
 
