@@ -11,12 +11,14 @@ floats are rejected so results never depend on rounding.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,11 +94,75 @@ def affine(weights: Mapping[int, Rational], bias: Rational = 0) -> "AffineForm":
     return AffineForm(w, exact(bias))
 
 
+class _RowWeights(Mapping):
+    """The read-only weights ``numerators[i] / scale`` at ``positions[i]``.
+
+    ``positions`` is a range or a list of ascending ints, and ``numerators``
+    a numpy int64 array of nonzero values whose absolute sum fits in int64.
+    The scale is reduced on construction, so it is the lcm of the weights'
+    reduced denominators.  The mapping compares, iterates and prints as the
+    dict {position: Fraction} it stands for, and its cost is in proportion
+    to its entries; `AffineForm._integer_row` reads the integers directly.
+    """
+
+    __slots__ = ("positions", "numerators", "scale")
+
+    def __init__(self, positions: Sequence[int], numerators: np.ndarray, scale: int):
+        if scale != 1:
+            g = math.gcd(scale, int(np.gcd.reduce(numerators)))
+            if g != 1:
+                numerators, scale = numerators // g, scale // g
+        self.positions, self.numerators, self.scale = positions, numerators, scale
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.positions)
+
+    def __getitem__(self, pos) -> Fraction:
+        try:
+            i = bisect.bisect_left(self.positions, pos)
+            if i < len(self.positions) and self.positions[i] == pos:
+                return Fraction(int(self.numerators[i]), self.scale)
+        except TypeError:
+            pass
+        raise KeyError(pos)
+
+    def _fractions(self) -> Iterator[Fraction]:
+        # one Fraction per distinct numerator: a route's row repeats a few
+        nums = self.numerators.tolist()
+        scale = self.scale
+        return map({v: Fraction(v, scale) for v in set(nums)}.__getitem__, nums)
+
+    def values(self) -> ValuesView:
+        return _RowValues(self)
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _RowValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._fractions()
+
+
+class _RowItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.positions, self._mapping._fractions())
+
+
 @dataclass(frozen=True)
 class AffineForm:
     """weights . values + bias, with exact rational coefficients.
 
     ``weights`` maps 0-based positions of the layer read to their weights.
+    It is a dict, or, for a form built as an integer row (the universal
+    routes' output gates), a read-only `_RowWeights` over its positions,
+    integer numerators and one scale, which equals that dict.
     """
 
     weights: Mapping[int, Fraction]
@@ -117,8 +183,23 @@ class AffineForm:
         (`_Layer.lowered`), and a circuit its output and skip rows.
         """
         weights = self.weights
-        ratios = [w.as_integer_ratio() for w in weights.values()]
         b_num, b_den = self.bias.as_integer_ratio()
+        if type(weights) is _RowWeights:
+            scale = math.lcm(b_den, weights.scale)
+            m = scale // weights.scale
+            nums = weights.numerators
+            positions = weights.positions
+            if positions == range(width):
+                row = nums.tolist()
+            else:
+                row = [0] * width
+                for i, num in zip(positions, nums.tolist()):
+                    row[i] = num
+            if m != 1:
+                row = [v * m for v in row]
+            row.append(b_num * (scale // b_den))
+            return row, scale, int(np.abs(nums).sum()) * m
+        ratios = [w.as_integer_ratio() for w in weights.values()]
         scale = math.lcm(b_den, *{den for _, den in ratios})
         row = [0] * width
         for i, (num, den) in zip(weights, ratios):
@@ -307,11 +388,19 @@ class Circuit:
 
 def _check_reads(form: AffineForm, width: int, reader: str) -> None:
     """Raise WireError unless every weight key is an int in [0, width), in time
-    linear in the keys (`int.__instancecheck__` is isinstance by C loop)."""
-    keys = form.weights.keys()
-    if keys and not (
-        all(map(int.__instancecheck__, keys)) and min(keys) >= 0 and max(keys) < width
-    ):
+    linear in the keys (`int.__instancecheck__` is isinstance by C loop), or
+    constant for `_RowWeights`, whose ascending positions the first and last
+    bound."""
+    weights = form.weights
+    keys = weights.keys()
+    if type(weights) is _RowWeights:
+        pos = weights.positions
+        ok = not pos or (pos[0] >= 0 and pos[-1] < width)
+    else:
+        ok = not keys or (
+            all(map(int.__instancecheck__, keys)) and min(keys) >= 0 and max(keys) < width
+        )
+    if not ok:
         bad = sorted((k for k in keys if not (isinstance(k, int) and 0 <= k < width)), key=repr)
         raise WireError(f"{reader}: {bad} not among the {width} positions it may read")
 

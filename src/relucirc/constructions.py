@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,13 +28,12 @@ from .circuit import (
     _CACHE_BITS,
     _cube_forwards,
     _Layer,
+    _RowWeights,
     affine,
     enumeration_cap,
 )
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,44 @@ def walsh_hadamard(table: TruthTable) -> FourierExpansion:
     sum_S coeff[S]^2 = 1 for +-1-valued f.
     """
     n = table.arity
-    coeffs = {s: _dyadic(v, n) for s, v in enumerate(_spectrum(table)) if v}
+    spectrum = _spectrum(table).tolist()
+    coeffs = {s: _dyadic(v, n) for s, v in enumerate(spectrum) if v}
     return FourierExpansion(n, coeffs)
 
 
-def _spectrum(table: TruthTable) -> list[int]:
-    """2^n times the Fourier coefficients, indexed by subset mask."""
+def _signs(table: TruthTable) -> np.ndarray:
+    """The table's +-1 values as int64, indexed by vertex."""
     size = 1 << table.arity
-    vals = [1 - 2 * ((table.bits >> i) & 1) for i in range(size)]
-    h = 1
-    while h < size:
-        for start in range(0, size, h * 2):
-            for j in range(start, start + h):
-                a, b = vals[j], vals[j + h]
-                vals[j], vals[j + h] = a + b, a - b
-        h *= 2
+    packed = np.frombuffer(table.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return 1 - 2 * np.unpackbits(packed, count=size, bitorder="little").astype(np.int64)
+
+
+def _spectrum(table: TruthTable) -> np.ndarray:
+    """2^n times the Fourier coefficients as int64, indexed by subset mask.
+
+    Each step transforms the top k <= 4 bits of the index by a product with
+    the 2^k x 2^k Hadamard matrix and rotates them to the bottom, so after n
+    bits every bit is back in place.  Exact: every value is at most 2^n in
+    magnitude.
+    """
+    vals = _signs(table)
+    left = table.arity
+    while left:
+        k = min(left, 4)
+        block = _hadamard()[: 1 << k, : 1 << k]
+        vals = (vals.reshape(1 << k, -1).T @ block).reshape(-1)
+        left -= k
     return vals
+
+
+@lru_cache(maxsize=None)
+def _hadamard() -> np.ndarray:
+    """The 16 x 16 Hadamard matrix (-1)^|s & x|; its top-left 2^k x 2^k
+    corner is the one on k bits."""
+    idx = np.arange(16)
+    matrix = 1 - 2 * (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.int64)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=4096)
@@ -198,13 +220,8 @@ def universal_vertex_indicators(table: TruthTable, cap: int | None = None) -> Ci
         raise ResourceCapError(f"arity {n} exceeds enumeration cap")
     # the cached gates are shared by every circuit returned for this arity
     gates = _vertex_layer(n) if n <= _CACHE_BITS else _vertex_layer.__wrapped__(n)
-    bits = table.bits
-    out_weights = {
-        idx: MINUS_ONE if (bits >> idx) & 1 else ONE for idx in range(len(gates))
-    }
-    return Circuit(
-        n, (gates,), Gate(GateKind.SUM, AffineForm(out_weights, Fraction(0)))
-    )
+    out = AffineForm(_RowWeights(range(len(gates)), _signs(table), 1), Fraction(0))
+    return Circuit(n, (gates,), Gate(GateKind.SUM, out))
 
 
 @lru_cache(maxsize=None)
@@ -224,10 +241,20 @@ def _fourier_block(s: int) -> tuple[Gate, ...]:
     )
 
 
+def _ladders(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For the blocks on ``masks`` in order: each hinge gate's mask, and its
+    coefficient on the block's parity ladder."""
+    sizes = [s.bit_count() for s in masks]
+    gate_masks = np.repeat(np.array(masks, dtype=np.int64), [k + 1 for k in sizes])
+    coeffs = chain.from_iterable(map(_parity_ladder_coeffs, sizes))
+    return gate_masks, np.fromiter(coeffs, np.int64, gate_masks.size)
+
+
 @lru_cache(maxsize=None)
-def _fourier_layer(n: int) -> tuple[_Layer, np.ndarray]:
+def _fourier_layer(n: int) -> tuple[_Layer, np.ndarray, np.ndarray]:
     """Every block `_fourier_block(s)`, s = 1..2^n - 1, in mask order, as one
-    `_Layer` checked at width n, with each gate's mask.
+    `_Layer` checked at width n, with each gate's mask and ladder coefficient
+    (`_ladders`).
 
     A table's hidden layer is the selection of the blocks its spectrum keeps,
     so the gates are checked and lowered, and their arrays built, once per
@@ -236,15 +263,7 @@ def _fourier_layer(n: int) -> tuple[_Layer, np.ndarray]:
     masks = range(1, 1 << n)
     layer = _Layer(g for s in masks for g in _fourier_block(s))
     layer.check_reads(n, 1)
-    gate_masks = np.repeat(np.arange(1, 1 << n), [s.bit_count() + 1 for s in masks])
-    return layer, gate_masks
-
-
-@lru_cache(maxsize=4096)
-def _ladder_weights(v: int, k: int, n: int) -> tuple[Fraction, ...]:
-    """Output weights of a block on |S| = k for the spectrum value v = 2^n
-    coeff[S]: coeff[S] * (1 - 2 * parity) puts -2 * coeff[S] on the ladder."""
-    return tuple(_dyadic(-2 * v * c, n) for c in _parity_ladder_coeffs(k))
+    return (layer, *_ladders(masks))
 
 
 def universal_fourier(table: TruthTable, cap: int | None = None) -> Circuit:
@@ -253,29 +272,29 @@ def universal_fourier(table: TruthTable, cap: int | None = None) -> Circuit:
     Each monomial with S nonempty is computed as 1 - 2 * parity(z_S) with
     z_i = (1 - x_i)/2, using the parity ladder folded into first-layer
     weights; that costs |S| + 1 gates, so the circuit has at most
-    sum_{coeff[S] != 0} (|S| + 1) gates.
+    sum_{coeff[S] != 0} (|S| + 1) gates.  The output row is built from the
+    spectrum as integers over 2^n.
     """
     n = table.arity
     if n > enumeration_cap(cap):
         raise ResourceCapError(f"arity {n} exceeds enumeration cap")
     spectrum = _spectrum(table)
-    blocks = [s for s in range(1, 1 << n) if spectrum[s]]
-    weights = [
-        w for s in blocks for w in _ladder_weights(spectrum[s], s.bit_count(), n)
-    ]
-    out = Gate(
-        GateKind.SUM,
-        AffineForm(dict(enumerate(weights)), _dyadic(sum(spectrum), n)),
-    )
+    bias = _dyadic(int(spectrum.sum()), n)
+    blocks = (np.flatnonzero(spectrum[1:]) + 1).tolist()
     if not blocks:
-        return Circuit(n, (), out)
+        return Circuit(n, (), Gate(GateKind.SUM, AffineForm({}, bias)))
     if n <= _CACHE_BITS:
-        layer, gate_masks = _fourier_layer(n)
-        hidden = layer.select(np.array(spectrum)[gate_masks] != 0)
+        layer, gate_masks, coeffs = _fourier_layer(n)
+        keep = spectrum[gate_masks] != 0
+        hidden = layer.select(keep)
+        gate_masks, coeffs = gate_masks[keep], coeffs[keep]
     else:
         # nothing per arity is cached here: a sparse table builds its blocks only
         hidden = tuple(g for s in blocks for g in _fourier_block.__wrapped__(s))
-    return Circuit(n, (hidden,), out)
+        gate_masks, coeffs = _ladders(blocks)
+    # coeff[S] * (1 - 2 * parity) puts -2 * coeff[S] on the block's ladder
+    weights = _RowWeights(range(coeffs.size), -2 * spectrum[gate_masks] * coeffs, 1 << n)
+    return Circuit(n, (hidden,), Gate(GateKind.SUM, AffineForm(weights, bias)))
 
 
 def max0xy_depth2() -> Circuit:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from relucirc import (
+    AffineForm,
     Circuit,
     Gate,
     GateKind,
@@ -28,9 +29,9 @@ from relucirc import (
     walsh_hadamard,
 )
 import relucirc.constructions as constructions
-from relucirc.circuit import _Layer, forward_on_cube, vertex
+from relucirc.circuit import _Layer, _RowWeights, forward_on_cube, vertex
 from relucirc.constructions import _fourier_layer, _vertex_layer, linear_as_2relu
-from relucirc.serialize import circuit_from_json, circuit_to_json
+from relucirc.serialize import circuit_from_json, circuit_to_json, dumps
 
 from conftest import scalar_table
 
@@ -383,7 +384,7 @@ def _same_arrays(got, want):
 
 
 def test_a_selected_layer_lowers_like_a_layer_of_its_gates():
-    layer, gate_masks = _fourier_layer(4)
+    layer, gate_masks, _ = _fourier_layer(4)
     rng = random.Random(12)
     keeps = [
         np.ones(len(layer), dtype=bool),
@@ -402,7 +403,7 @@ def test_a_selected_layer_lowers_like_a_layer_of_its_gates():
 
 
 def test_a_selected_layer_names_its_own_gate_on_a_wrong_width_read():
-    layer, gate_masks = _fourier_layer(4)
+    layer, gate_masks, _ = _fourier_layer(4)
     out = Gate(GateKind.SUM, affine({0: 1}))
     # blocks {x1, x2} and {x3}: gate 4 of the selection (8 of the layer)
     # is the first to read x3, position 2
@@ -416,7 +417,7 @@ def test_a_selected_layer_names_its_own_gate_on_a_wrong_width_read():
 
 def test_fourier_route_selects_from_one_layer_per_arity():
     first, second = (universal_fourier(TruthTable(5, bits)) for bits in (0x9F767C45, 0x1234ABCD))
-    layer, _ = _fourier_layer(5)
+    layer, _, _ = _fourier_layer(5)
     assert truth_table(first) == TruthTable(5, 0x9F767C45)
     assert truth_table(second) == TruthTable(5, 0x1234ABCD)
     # both took their float64 rows from the one layer of arity 5
@@ -462,3 +463,121 @@ def test_a_sparse_table_above_the_cached_arities_builds_only_its_blocks():
     assert c.widths == (2,)
     assert _fourier_layer.cache_info().misses == misses
     assert truth_table(c) == dictator
+
+
+# ---------------------------------------------------------------------------
+# output rows built as integers, against the dict-built forms they replace
+
+def _reference_spectrum(table):
+    """2^n times the Fourier coefficients, by the in-place butterflies on a
+    list of Python ints."""
+    size = 1 << table.arity
+    vals = [table.value(i) for i in range(size)]
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            for j in range(start, start + h):
+                vals[j], vals[j + h] = vals[j] + vals[j + h], vals[j] - vals[j + h]
+        h *= 2
+    return vals
+
+
+def _reference_output(route, table):
+    """The route's output form as a dict of Fractions, built weight by weight."""
+    n = table.arity
+    if route is universal_vertex_indicators:
+        return AffineForm({i: Fraction(table.value(i)) for i in range(1 << n)}, Fraction(0))
+    spectrum = _reference_spectrum(table)
+    weights = []
+    for s in range(1, 1 << n):
+        if spectrum[s]:
+            k = s.bit_count()
+            # the ladder's slope changes, hinge by hinge
+            slopes = [0] + [(-1) ** p for p in range(k)] + [0]
+            for h in range(k + 1):
+                weights.append(Fraction(-2 * spectrum[s] * (slopes[h + 1] - slopes[h]), 1 << n))
+    return AffineForm(dict(enumerate(weights)), Fraction(sum(spectrum), 1 << n))
+
+
+def _assert_same_as_reference(got, want, cube):
+    """``got`` and ``want`` differ only in how their output weights are held."""
+    assert got == want and want == got
+    assert got.output_gate.form == want.output_gate.form
+    assert want.output_gate.form == got.output_gate.form
+    assert repr(got) == repr(want)
+    assert list(got.output_gate.form.weights) == list(want.output_gate.form.weights)
+    assert dumps(circuit_to_json(got)) == dumps(circuit_to_json(want))
+    width = got.widths[-1] if got.layers else got.input_count
+    row = got.output_gate.form._integer_row(width)
+    assert row == want.output_gate.form._integer_row(width)
+    assert all(type(v) is int for v in row[0])
+    low, ref = got._lowered, want._lowered
+    for field in ("bound", "output_den", "products", "use_object", "output"):
+        assert getattr(low, field) == getattr(ref, field), field
+    if cube:
+        fwd, ref_fwd = forward_on_cube(got), forward_on_cube(want)
+        assert fwd.output_pre_num.tolist() == ref_fwd.output_pre_num.tolist()
+        assert fwd.output_pre_den == ref_fwd.output_pre_den
+
+
+def _junta(n, k, rng):
+    """A random table of the first k coordinates, as a table of arity n."""
+    values = [rng.getrandbits(1) for _ in range(1 << k)]
+    return TruthTable(n, sum(values[i % (1 << k)] << i for i in range(1 << n)))
+
+
+@pytest.mark.parametrize("route", [universal_vertex_indicators, universal_fourier])
+def test_routes_match_their_dict_built_output_forms(monkeypatch, route):
+    rng = random.Random(2207)
+    tables = [TruthTable(n, rng.getrandbits(1 << n)) for n in range(1, 11)]
+    tables += [TruthTable(n, 0) for n in (1, 5)]
+    # above the cached arities; a junta keeps the Fourier circuit small
+    tables.append(_junta(13, 6, rng))
+    for per_block in (False, True):
+        if per_block:
+            # the same tables again on the per-block path; n = 13 is there already
+            monkeypatch.setattr(constructions, "_CACHE_BITS", -1)
+            tables.pop()
+        for t in tables:
+            got = route(t)
+            want = Circuit(t.arity, got.layers, Gate(GateKind.SUM, _reference_output(route, t)))
+            if got.layers:
+                assert type(got.output_gate.form.weights) is _RowWeights
+            _assert_same_as_reference(got, want, cube=got.size * (1 << t.arity) <= 1 << 23)
+            assert truth_table(got) == t
+
+
+def test_row_weights_read_as_the_dict_they_stand_for():
+    # numerators 2, -6, 4 over 8 reduce to 1, -3, 2 over 4
+    row = _RowWeights([1, 4, 6], np.array([2, -6, 4]), 8)
+    plain = {1: Fraction(1, 4), 4: Fraction(-3, 4), 6: Fraction(1, 2)}
+    assert row.scale == 4 and row.numerators.tolist() == [1, -3, 2]
+    assert row == plain and plain == row
+    assert repr(row) == repr(plain) and len(row) == 3 and list(row) == [1, 4, 6]
+    assert list(row.items()) == list(plain.items())
+    assert list(row.values()) == list(plain.values())
+    assert row[4] == row[Fraction(4)] == Fraction(-3, 4) and row[True] == Fraction(1, 4)
+    assert 6 in row and 5 not in row and "x1" not in row and row.get(0) is None
+    with pytest.raises(KeyError):
+        row[7]
+    # a bias whose denominator the scale does not divide scales the row
+    for bias in (Fraction(0), Fraction(1, 3), Fraction(-5, 8)):
+        assert AffineForm(row, bias)._integer_row(8) == AffineForm(plain, bias)._integer_row(8)
+        assert AffineForm(row, bias).value(range(8)) == AffineForm(plain, bias).value(range(8))
+    assert _RowWeights(range(0), np.array([], dtype=np.int64), 16) == {}
+    # the read check bounds the ascending positions by the first and last
+    out = Gate(GateKind.SUM, AffineForm(row, Fraction(0)))
+    with pytest.raises(WireError, match=r"the output gate: \[6\] not among the 5 positions"):
+        Circuit(5, (), out)
+    with pytest.raises(WireError, match=r"the output gate: \[-1\]"):
+        Circuit(5, (), Gate(GateKind.SUM, AffineForm(_RowWeights([-1, 2], np.array([1, 1]), 1))))
+    assert Circuit(7, (), out) == Circuit(7, (), Gate(GateKind.SUM, AffineForm(plain)))
+
+
+def test_walsh_hadamard_gives_python_ints_and_parseval_holds():
+    rng = random.Random(2208)
+    for n in range(11):
+        exp = walsh_hadamard(TruthTable(n, rng.getrandbits(1 << n)))
+        for s, c in exp.coefficients.items():
+            assert type(s) is int and type(c.numerator) is int and type(c.denominator) is int
+        assert sum(c * c for c in exp.coefficients.values()) == 1
