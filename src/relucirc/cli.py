@@ -238,18 +238,16 @@ def cmd_signrank(args) -> int:
 def cmd_random_approx(args) -> int:
     if args.reference == "parity":
         table = parity_table(args.n)
-        reference = "parity"
     else:
         rng = random.Random(args.seed + _REFERENCE_SEED_OFFSET)
         circuit = random_ltf_of_relu(args.n, args.gates, args.weight_bound, rng)
         table = truth_table(circuit, cap=_cap(args, args.n))
-        reference = f"random-circuit(gates={args.gates}, weightBound={args.weight_bound})"
     probe = random_agreement_probe(
-        table, args.epsilon, args.trials, args.seed, reference_name=reference,
+        table, args.epsilon, args.trials, args.seed, reference_name=args.reference,
         cap=_cap(args, args.n),
     )
     _emit(args, serialize.random_approx_report(
-        args.n, args.epsilon, args.trials, args.seed, reference, probe
+        args.n, args.epsilon, args.trials, args.seed, args.gates, args.weight_bound, probe
     ))
     return 0
 

@@ -378,8 +378,13 @@ def matrix_csv(matrix) -> str:
 
 
 def random_approx_report(
-    n: int, epsilon: Fraction, trials: int, seed: int, reference: str, probe
+    n: int, epsilon: Fraction, trials: int, seed: int, gates: int, weight_bound: int, probe
 ) -> dict:
+    """The report of a probe against the "parity" or "random-circuit"
+    reference; the second is named with the size it was drawn at."""
+    reference = probe.reference
+    if reference == "random-circuit":
+        reference = f"random-circuit(gates={gates}, weightBound={weight_bound})"
     return {
         "command": "random-approx",
         "config": {
@@ -387,7 +392,7 @@ def random_approx_report(
             "reference": reference,
         },
         "n": probe.n, "epsilon": rational_to_str(probe.epsilon), "trials": probe.trials,
-        "seed": probe.seed, "reference": probe.reference,
+        "seed": probe.seed, "reference": reference,
         "minAgreementCount": probe.min_agreement_count, "hits": probe.hits,
         "empirical": probe.empirical, "chernoffBound": probe.chernoff_bound,
         "exactTail": probe.exact_tail, "threeStandardErrors": probe.three_standard_errors,

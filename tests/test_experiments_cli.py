@@ -100,9 +100,10 @@ def probe_hits_oracle(reference, epsilon, trials, seed):
 
 def test_probe_report_fields_and_counts():
     probe = random_agreement_probe(parity_table(5), Fraction(1, 4), 400, 7)
-    report = random_approx_report(5, Fraction(1, 4), 400, 7, "custom", probe)
+    report = random_approx_report(5, Fraction(1, 4), 400, 7, 8, 4, probe)
     assert set(report) == REPORT_KEYS | {"command", "config"}
     assert report["epsilon"] == "1/4"
+    assert report["reference"] == report["config"]["reference"] == "custom"
     assert probe.n == 5
     assert probe.epsilon == Fraction(1, 4)
     assert probe.trials == 400

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -353,14 +354,32 @@ def test_no_module_but_serialize_writes_json():
                 assert not {a.name for a in node.names} & {"dump", "dumps"}, name
 
 
+def _spelled_keys(tree, keys):
+    """The report keys a module spells: a string constant that is one, or a
+    whole word in the literal text of an f-string."""
+    spelled = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys:
+            spelled.add(node.value)
+        elif isinstance(node, ast.JoinedStr):
+            for part in node.values:
+                if isinstance(part, ast.Constant):
+                    spelled.update(keys.intersection(re.findall(r"\w+", part.value)))
+    return spelled
+
+
 def test_no_module_but_serialize_spells_a_report_key():
     keys = _report_keys()
     for name, tree in _modules_other_than_serialize():
-        spelled = {
-            node.value for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in keys
-        }
+        spelled = _spelled_keys(tree, keys)
         assert not spelled, f"{name} spells {sorted(spelled)}"
+
+
+def test_the_key_scan_finds_keys_in_f_strings():
+    keys = {"weightBound", "W"}
+    tree = ast.parse('f"random-circuit(gates={g}, weightBound={b})", f"W={w}", f"Wx {y}", "weightBound"')
+    assert _spelled_keys(tree, keys) == {"weightBound", "W"}
+    assert _spelled_keys(ast.parse('f"weightBounds={b}", "W: x"'), keys) == set()
 
 
 def test_dump_circuit_writes_the_bytes_construct_prints(tmp_path, capsys):
