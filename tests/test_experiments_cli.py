@@ -1079,62 +1079,85 @@ def _nodes(node, path=()):
             yield from _nodes(value, (*path, key))
 
 
-@st.composite
-def _mutated_document(draw):
-    """A golden input with one mutation: a dropped key, a value of the wrong
-    type, a weight of "1/0" or "x", a wire id past its layer, an empty layer,
-    an unknown gate kind, or a drawn inputCount."""
-    name = draw(st.sampled_from(sorted(_INPUT_DOCUMENTS)))
-    doc = json.loads(json.dumps(_INPUT_DOCUMENTS[name]))
+def _mutate(draw, doc):
+    """One mutation of a document in place: a dropped key, a value of the
+    wrong type, a weight of "1/0" or "x", a wire id past its layer, an empty
+    layer, an unknown gate kind, or a drawn inputCount.  A mutation that does
+    not apply to what an earlier one left changes nothing."""
     nodes = list(_nodes(doc))
     objects = [node for _, node in nodes if isinstance(node, dict) and node]
-    forms = [node for _, node in nodes if isinstance(node, dict) and "weights" in node]
-    layers = doc.get("layers", [])
+    forms = [
+        node for _, node in nodes if isinstance(node, dict) and isinstance(node.get("weights"), dict)
+    ]
+    layers = doc.get("layers")
+    layers = layers if isinstance(layers, list) else []
     mutation = draw(st.sampled_from(
         ["drop", "type", "weight", "wire", "empty-layer", "kind", "input-count"]
     ))
-    if mutation == "drop":
+    if mutation == "drop" and objects:
         target = draw(st.sampled_from(objects))
         del target[draw(st.sampled_from(sorted(target)))]
     elif mutation == "type":
         _, target = draw(st.sampled_from(nodes))
         keys = sorted(target) if isinstance(target, dict) else range(len(target))
         if keys:
-            target[draw(st.sampled_from(list(keys)))] = draw(st.sampled_from(_WRONG_TYPES))
+            # a fresh copy: a second mutation may write into a [] or {}
+            wrong = json.loads(json.dumps(draw(st.sampled_from(_WRONG_TYPES))))
+            target[draw(st.sampled_from(list(keys)))] = wrong
     elif mutation == "weight":
         bad = draw(st.sampled_from(["1/0", "x"]))
+        terms = doc.get("terms")
+        terms = [t for t in terms if isinstance(t, dict)] if isinstance(terms, list) else []
         if forms:
             form = draw(st.sampled_from(forms))
             keys = sorted(form["weights"]) or ["bias"]
             (form["weights"] if form["weights"] else form)[draw(st.sampled_from(keys))] = bad
-        else:  # a ReLU sum's term
-            term = draw(st.sampled_from(doc["terms"]))
-            term[draw(st.sampled_from(["coeff", "bias"]))] = bad
+        elif terms:  # a ReLU sum's term
+            draw(st.sampled_from(terms))[draw(st.sampled_from(["coeff", "bias"]))] = bad
     elif mutation == "wire" and forms:
         k = draw(st.integers(0, len(layers)))
-        width = doc["inputCount"] if k == 0 else len(layers[k - 1])
-        wire = f"x{width + 1}" if k == 0 else f"g{k}.{width + 1}"
-        readers = layers[k] if k < len(layers) else [doc["outputGate"]]
-        draw(st.sampled_from(readers))["weights"][wire] = "1/1"
+        below = doc.get("inputCount") if k == 0 else layers[k - 1]
+        width = below if k == 0 else len(below) if isinstance(below, list) else None
+        readers = layers[k] if k < len(layers) else [doc.get("outputGate")]
+        readers = [r for r in readers if r in forms] if isinstance(readers, list) else []
+        if type(width) is int and readers:
+            wire = f"x{width + 1}" if k == 0 else f"g{k}.{width + 1}"
+            draw(st.sampled_from(readers))["weights"][wire] = "1/1"
     elif mutation == "empty-layer" and layers:
         if draw(st.booleans()):
             layers[draw(st.integers(0, len(layers) - 1))] = []
         else:
             layers.insert(draw(st.integers(0, len(layers))), [])
-    elif mutation == "kind" and forms:
+    elif mutation == "kind" and any("kind" in g for g in forms):
         gates = [g for g in forms if "kind" in g]
         draw(st.sampled_from(gates))["kind"] = draw(st.sampled_from(["NAND", "relu", "", 0]))
     elif mutation == "input-count":
         doc["inputCount"] = draw(st.sampled_from(_INPUT_COUNTS))
+
+
+@st.composite
+def _mutated_document(draw):
+    """A golden input with one or two mutations (`_mutate`)."""
+    name = draw(st.sampled_from(sorted(_INPUT_DOCUMENTS)))
+    doc = json.loads(json.dumps(_INPUT_DOCUMENTS[name]))
+    for _ in range(draw(st.integers(1, 2))):
+        _mutate(draw, doc)
     return doc
 
 
-@given(_mutated_document(), st.sampled_from([
-    ["restrict", "apply", "--circuit", "{}", "--fix", "1=1"],
-    ["refute-max", "--circuit", "{}", "--grid-radius", "2"],
-    ["refute-max", "--pwl", "{}", "--grid-radius", "2"],
-]))
-@settings(max_examples=150, deadline=None)
+# a repeated coordinate, coordinate 0, one past most arities, a value 2, an
+# empty part, and valid fixes
+_MUTATED_FIXES = ["1=1", "1=1,2=-1", "1=1,1=-1", "0=1", "65=1", "1=2", "1=1,", "1=1,,2=-1", ","]
+
+
+@given(_mutated_document(), st.one_of(
+    st.sampled_from(_MUTATED_FIXES).map(lambda fix: ["restrict", "apply", "--circuit", "{}", "--fix", fix]),
+    st.sampled_from([
+        ["refute-max", "--circuit", "{}", "--grid-radius", "2"],
+        ["refute-max", "--pwl", "{}", "--grid-radius", "2"],
+    ]),
+))
+@settings(max_examples=400, deadline=None)
 def test_cli_on_mutated_documents_exits_0_2_or_3_with_one_error_line(doc, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
