@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -129,15 +129,6 @@ class _RowWeights(Mapping):
             pass
         raise KeyError(pos)
 
-    def _fractions(self) -> Iterator[Fraction]:
-        # one Fraction per distinct numerator: a route's row repeats a few
-        nums = self.numerators.tolist()
-        scale = self.scale
-        return map({v: Fraction(v, scale) for v in set(nums)}.__getitem__, nums)
-
-    def values(self) -> ValuesView:
-        return _RowValues(self)
-
     def items(self) -> ItemsView:
         return _RowItems(self)
 
@@ -145,14 +136,13 @@ class _RowWeights(Mapping):
         return repr(dict(self.items()))
 
 
-class _RowValues(ValuesView):
-    def __iter__(self):
-        return self._mapping._fractions()
-
-
 class _RowItems(ItemsView):
     def __iter__(self):
-        return zip(self._mapping.positions, self._mapping._fractions())
+        row = self._mapping
+        nums = row.numerators.tolist()
+        # one Fraction per distinct numerator: a route's row repeats a few
+        fractions = {v: Fraction(v, row.scale) for v in set(nums)}
+        return zip(row.positions, map(fractions.__getitem__, nums))
 
 
 @dataclass(frozen=True)
@@ -185,26 +175,26 @@ class AffineForm:
         weights = self.weights
         b_num, b_den = self.bias.as_integer_ratio()
         if type(weights) is _RowWeights:
+            # the numerators as they are, times what the bias adds to the scale
             scale = math.lcm(b_den, weights.scale)
             m = scale // weights.scale
-            nums = weights.numerators
-            positions = weights.positions
-            if positions == range(width):
-                row = nums.tolist()
+            nums = weights.numerators.tolist()
+            if weights.positions == range(width):
+                row = nums
             else:
                 row = [0] * width
-                for i, num in zip(positions, nums.tolist()):
+                for i, num in zip(weights.positions, nums):
                     row[i] = num
             if m != 1:
                 row = [v * m for v in row]
-            row.append(b_num * (scale // b_den))
-            return row, scale, int(np.abs(nums).sum()) * m
-        ratios = [w.as_integer_ratio() for w in weights.values()]
-        scale = math.lcm(b_den, *{den for _, den in ratios})
-        row = [0] * width
-        for i, (num, den) in zip(weights, ratios):
-            row[i] = num * (scale // den)
-        abs_sum = sum(map(abs, row))
+            abs_sum = int(np.abs(weights.numerators).sum()) * m
+        else:
+            ratios = [w.as_integer_ratio() for w in weights.values()]
+            scale = math.lcm(b_den, *{den for _, den in ratios})
+            row = [0] * width
+            for i, (num, den) in zip(weights, ratios):
+                row[i] = num * (scale // den)
+            abs_sum = sum(map(abs, row))
         row.append(b_num * (scale // b_den))
         return row, scale, abs_sum
 
