@@ -567,8 +567,8 @@ def test_row_weights_read_as_the_dict_they_stand_for():
     assert _RowWeights(range(0), np.array([], dtype=np.int64), 16) == {}
     # the read check bounds the ascending positions by the first and last
     out = Gate(GateKind.SUM, AffineForm(row, Fraction(0)))
-    with pytest.raises(WireError, match=r"the output gate: \[6\] not among the 5 positions"):
-        Circuit(5, (), out)
+    with pytest.raises(WireError, match=r"the output gate: \[6\] not among the 6 positions"):
+        Circuit(6, (), out)
     with pytest.raises(WireError, match=r"the output gate: \[-1\]"):
         Circuit(5, (), Gate(GateKind.SUM, AffineForm(_RowWeights([-1, 2], np.array([1, 1]), 1))))
     assert Circuit(7, (), out) == Circuit(7, (), Gate(GateKind.SUM, AffineForm(plain)))
