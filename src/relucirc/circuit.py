@@ -225,24 +225,20 @@ class _Layer(tuple):
 
     It compares, hashes, prints and serializes as the plain tuple.  Its
     ``__dict__`` caches, per width of the layer it reads, that its read check
-    passed and its integer lowering, with the numpy arrays of each dtype, so
-    circuits that share one layer object (a construction's cached layer, or a
-    layer `apply_restriction` passes through) check and lower it once.  The
-    cache lives exactly as long as the layer.  A layer made by `select` also
-    holds the layer it came from and takes its check, lowering and arrays
-    from there.
+    passed and its integer lowering, so circuits that share one layer object
+    (a construction's cached layer, or a layer `apply_restriction` passes
+    through) check and lower it once.  The cache lives exactly as long as the
+    layer.  A layer made by `select` starts with the checks and lowerings of
+    the layer it came from, under its mask.
     """
 
     def __new__(cls, gates: Iterable[Gate] = ()):
         layer = super().__new__(cls, gates)
         # made up front: a cached_property takes a lock on first use, about
         # 2 us, a measurable share of lowering a small circuit.  Widths that
-        # passed the read check, the lowering per width, the arrays per
-        # (width, dtype), and the (layer, gate positions) `select` took
+        # passed the read check, and the lowering per width
         layer._checked = set()
         layer._lowerings = {}
-        layer._arrays = {}
-        layer._source = None
         return layer
 
     def select(self, keep: np.ndarray) -> "_Layer":
@@ -250,67 +246,54 @@ class _Layer(tuple):
 
         The selection passes its read check at every width at which this layer
         passed it; at any other width it scans its own gates, numbered by their
-        position in the selection.  Its lowering and arrays are this layer's
-        rows and biases under the mask, at this layer's scale, so they equal
-        its own lowering when every kept gate has that scale, as in a layer of
-        hinges whose weights are all -1/2.
+        position in the selection.  Its lowerings are this layer's under the
+        mask, at this layer's scale, so they equal its own when every kept gate
+        has that scale, as in a layer of hinges whose weights are all -1/2.
         """
         positions = np.flatnonzero(keep)
-        layer = _Layer(map(self.__getitem__, positions.tolist()))
-        layer._source = (self, positions)
+        # comprehensions, not map over __getitem__: about twice as fast here
+        pick = positions.tolist()
+        layer = _Layer([self[i] for i in pick])
+        layer._checked.update(self._checked)
+        rows = np.append(positions, -1)
+        for width, (matrix, scale, gate_terms, _, kinds, relu_only) in self._lowerings.items():
+            gate_terms = [gate_terms[i] for i in pick]
+            kinds = tuple([kinds[i] for i in pick])
+            layer._lowerings[width] = (
+                matrix[rows], scale, gate_terms, set(gate_terms), kinds,
+                relu_only or kinds.count(GateKind.RELU) == len(kinds),
+            )
         return layer
 
     def check_reads(self, width: int, k: int) -> None:
         """Raise WireError unless the layer is nonempty and every gate reads
         positions below ``width``; ``k`` numbers the layer in the message."""
-        if width in self._checked:
-            return
         if not self:
             raise WireError(f"layer {k} is empty")
-        if self._source is None or width not in self._source[0]._checked:
+        if width not in self._checked:
             for j, gate in enumerate(self, start=1):
                 _check_reads(gate.form, width, f"gate {j} of layer {k}")
-        self._checked.add(width)
+            self._checked.add(width)
 
-    def lowered(
-        self, width: int
-    ) -> tuple[list[list[int]], int, list[tuple[int, int]], set[tuple[int, int]]]:
-        """(rows, scale, gate terms, bound terms) over ``width`` positions: the
-        gates' `_lower_forms` rows, each with its bias as a last entry, each
-        gate's (sum of |weights|, |bias|), and the distinct such pairs, which
-        the static bound reads.  Shared; must not be mutated."""
+    def lowered(self, width: int) -> tuple:
+        """(matrix, scale, gate terms, bound terms, kinds, relu_only) over
+        ``width`` positions: the gates' `_lower_forms` rows, biases last, over
+        a constant row (0, ..., 0, scale), which carries the next layer's bias
+        multiplier through the kernel's product, as one exact matrix (int64
+        when each sum |row| and the scale are below 2^62, else Python ints);
+        each gate's (sum of |weights|, |bias|), and the distinct such pairs,
+        which the static bound reads.  Shared; must not be mutated."""
         if width not in self._lowerings:
-            if self._source is None:
-                rows, scale, abs_sums = _lower_forms([g.form for g in self], width)
-                gate_terms = [(s, abs(row[-1])) for s, row in zip(abs_sums, rows)]
-            else:
-                source, positions = self._source
-                rows, scale, gate_terms, _ = source.lowered(width)
-                pick = positions.tolist()
-                rows, gate_terms = (list(map(part.__getitem__, pick)) for part in (rows, gate_terms))
-            self._lowerings[width] = (rows, scale, gate_terms, set(gate_terms))
+            rows, scale, abs_sums = _lower_forms([g.form for g in self], width)
+            gate_terms = [(s, abs(row[-1])) for s, row in zip(abs_sums, rows)]
+            terms = set(gate_terms)
+            top = max([scale, *map(max, terms)])
+            rows.append([0] * width + [scale])
+            matrix = np.array(rows, dtype=np.int64 if top < _INT64_SAFE else object)
+            kinds = tuple([g.kind for g in self])
+            relu_only = kinds.count(GateKind.RELU) == len(kinds)
+            self._lowerings[width] = (matrix, scale, gate_terms, terms, kinds, relu_only)
         return self._lowerings[width]
-
-    def arrays(self, width: int, dtype: np.dtype) -> tuple:
-        """(matrix, scale, kinds, relu_only) with a numpy matrix of ``dtype``:
-        the lowered rows, biases last, over a constant row (0, ..., 0, scale),
-        which carries the next layer's bias multiplier through the kernel's
-        product.  Shared; must not be mutated."""
-        key = (width, dtype)
-        if key not in self._arrays:
-            if self._source is None:
-                rows, scale, _, _ = self.lowered(width)
-                matrix = np.array([*rows, [0] * width + [scale]], dtype=dtype)
-                kinds = tuple(g.kind for g in self)
-                relu_only = all(kind is GateKind.RELU for kind in kinds)
-            else:
-                source, positions = self._source
-                matrix, scale, kinds, relu_only = source.arrays(width, dtype)
-                matrix = matrix[np.append(positions, -1)]
-                kinds = tuple(map(kinds.__getitem__, positions.tolist()))
-                relu_only = relu_only or all(kind is GateKind.RELU for kind in kinds)
-            self._arrays[key] = (matrix, scale, kinds, relu_only)
-        return self._arrays[key]
 
 
 @dataclass(frozen=True)
@@ -498,14 +481,15 @@ class TruthTable:
 # shared positive denominator per layer.  ReLU and the LTF sign test are
 # invariant under positive scaling, which keeps everything in integers.  Each
 # hidden layer (`_Layer`) lowers itself once per width of the layer it reads
-# and keeps the result, so circuits sharing a layer object share its rows and
-# arrays; a circuit adds only its static bound and its output and skip rows
-# (``Circuit._lowered``).  A layer made by `_Layer.select` takes its read
-# check, rows and arrays from the layer it was selected from, under its mask.
-# So the Fourier route checks, lowers and tabulates every hinge gate of an
+# to one exact integer matrix and keeps it, so circuits sharing a layer
+# object share its lowering; a circuit adds only its static bound, its output
+# and skip rows, and one cast of each layer's matrix to the kernel's dtype
+# (``Circuit._lowered``).  A layer made by `_Layer.select` starts with the
+# read checks and lowerings of the layer it was selected from, indexed by its
+# mask.  So the Fourier route checks and lowers every hinge gate of an
 # arity n <= _CACHE_BITS once (`constructions._fourier_layer`: 6143 gates at
-# n = 10, a one-time cost of 0.05 to 0.08 s on 2 cores, and 28671 gates at
-# n = 12, 0.3 to 0.45 s), and each table's layer is the selection of its
+# n = 10, a one-time cost of 0.04 to 0.05 s on 2 cores, and 28671 gates at
+# n = 12, 0.24 s), and each table's layer is the selection of its
 # nonzero blocks.  Above _CACHE_BITS each table builds and lowers its own
 # blocks, so a sparse table never builds all n 2^(n-1) + 2^n - 1 gates.
 #
@@ -517,7 +501,7 @@ class TruthTable:
 # 0.03 ms (2 cores, one BLAS thread).
 #
 # Each row carries its bias as a last column, and each hidden layer's matrix
-# (`_Layer.arrays`) ends in a constant row (0, ..., 0, scale).  The kernel's
+# (`_Layer.lowered`) ends in a constant row (0, ..., 0, scale).  The kernel's
 # input ends in a constant row equal to ``x_den`` (a row of ones on the
 # cached cube), so each product adds the bias times the layer's denominator
 # itself, and its own last row, ``x_den`` times the scales so far, is the
@@ -593,20 +577,20 @@ class _Lowering:
     ``x_den`` is 1, and bounds the scales the kernel multiplies the output
     terms by.  On the cube the kernel runs on float64 arrays while both stay
     below 2^53 (on slabs of at least _BLAS_MIN_PRODUCTS multiply-adds) and on
-    int64 arrays below 2^62; ``use_object`` is set when either reaches 2^62.
-    ``products`` counts the multiply-adds of a forward pass per input point.
+    int64 arrays below 2^62.  ``products`` counts the multiply-adds of a
+    forward pass per input point.
     """
 
     def __init__(self, circuit: Circuit):
         n = circuit.input_count
         prev_width = n
         products = 0
-        # each hidden layer with the width of the layer it reads
+        # each hidden layer's lowering over the width of the layer it reads
         self.layers = []
         bound = 1
         den = 1
         for layer in circuit.layers:
-            _, scale, _, terms = layer.lowered(prev_width)
+            _, scale, _, terms, _, _ = lowered = layer.lowered(prev_width)
             # the per-gate bound, over the layer's distinct (sum |row|, |bias|)
             new_bound = max((s * bound + b * den * scale for s, b in terms), default=0)
             den *= scale
@@ -614,7 +598,7 @@ class _Lowering:
             # bound; so does the layer below, which a layer of constant gates
             # (no weights) does not read
             bound = max(new_bound, den, bound)
-            self.layers.append((layer, prev_width))
+            self.layers.append(lowered)
             products += len(layer) * prev_width
             prev_width = len(layer)
 
@@ -636,18 +620,20 @@ class _Lowering:
         self.output_den = den * out_scale * skip_scale
         # the output row reads the last layer, the skip row the inputs
         self.products = products + prev_width + n
-        self.use_object = max(self.bound, self.output_den) >= _INT64_SAFE
-        self.output_kind = circuit.output_gate.kind
         self._arrays: dict[np.dtype, tuple] = {}
 
     def arrays(self, dtype) -> tuple:
         """(layers, output, skip) with numpy rows, biases last, of the given
         dtype: float64, int64 or object.  Each hidden layer's entry is
-        `_Layer.arrays`, shared by every circuit that holds the layer; the
-        output and skip entries are (row, scale)."""
+        (matrix, scale, kinds, relu_only), its `_Layer.lowered` matrix cast to
+        the dtype (the matrix itself when it has that dtype); the output and
+        skip entries are (row, scale)."""
         dtype = np.dtype(dtype)
         if dtype not in self._arrays:
-            layers = tuple(layer.arrays(width, dtype) for layer, width in self.layers)
+            layers = tuple(
+                (matrix.astype(dtype, copy=False), scale, kinds, relu_only)
+                for matrix, scale, _, _, kinds, relu_only in self.layers
+            )
             out, skip = (
                 (np.array(row, dtype=dtype), scale) for row, scale in (self.output, self.skip)
             )
@@ -661,7 +647,6 @@ class CubeForward:
 
     output_pre_num: np.ndarray
     output_pre_den: int
-    output_kind: GateKind
     last_hidden_num: np.ndarray | None = None
     last_hidden_den: int | None = None
 
@@ -710,7 +695,6 @@ def _forward(
     return CubeForward(
         output_pre_num=pre,
         output_pre_den=den * out_scale * skip_scale,
-        output_kind=low.output_kind,
         last_hidden_num=last_hidden,
         last_hidden_den=den if last_hidden is not None else None,
     )

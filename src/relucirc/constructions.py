@@ -257,12 +257,14 @@ def _fourier_layer(n: int) -> tuple[_Layer, np.ndarray, np.ndarray]:
     (`_ladders`).
 
     A table's hidden layer is the selection of the blocks its spectrum keeps,
-    so the gates are checked and lowered, and their arrays built, once per
-    arity: n 2^(n-1) + 2^n - 1 gates, 6143 at n = 10.
+    which takes its read check and lowering from here, so the gates are
+    checked and lowered once per arity: n 2^(n-1) + 2^n - 1 gates, 6143 at
+    n = 10.
     """
     masks = range(1, 1 << n)
     layer = _Layer(g for s in masks for g in _fourier_block(s))
     layer.check_reads(n, 1)
+    layer.lowered(n)
     return (layer, *_ladders(masks))
 
 

@@ -168,9 +168,8 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     # the bottom layer and the skip wires fold through the one integer rule;
     # kept forms retain their Fraction weights over the folded bias
     low = circuit._lowered
-    layers, _, (skip_row, skip_scale) = low.arrays(object if low.use_object else np.int64)
     # rows end in their biases; the bottom layer's last row is its constant row
-    bottom_rows, scale = layers[0][:2]
+    bottom_rows, scale = low.layers[0][:2]
     fixed, signs = _fixed_signs(rho)
     folded_b, zero, lin = collapse_rule(bottom_rows[:-1, :-1], bottom_rows[:-1, -1], fixed, signs)
     classes = _classes(zero, lin)
@@ -183,7 +182,9 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
     removed, linear, alive = (
         tuple(i for i, c in zip(ids, classes) if c is kind) for kind in Removability
     )
-    (skip_num,), _, _ = collapse_rule(skip_row[None, :-1], skip_row[-1:], fixed, signs)
+    skip_row, skip_scale = low.skip
+    row = np.array([skip_row], dtype=object)
+    (skip_num,), _, _ = collapse_rule(row[:, :-1], row[:, -1], fixed, signs)
     skip = _free_part(
         circuit.skip_wires or AffineForm({}), Fraction(int(skip_num), skip_scale), new_index
     )

@@ -541,16 +541,25 @@ def test_layer_arrays_hold_the_biases_last_over_the_constant_row():
         Gate(GateKind.LTF, affine({}, -2)),
         Gate(GateKind.SUM, affine({1: Fraction(3, 4)})),
     ))
+    want = [
+        [12, 0, -6, 4],
+        [0, 0, 0, -24],
+        [0, 9, 0, 0],
+        [0, 0, 0, 12],
+    ]
+    kinds = (GateKind.RELU, GateKind.LTF, GateKind.SUM)
+    matrix, scale, gate_terms, terms, got_kinds, relu_only = layer.lowered(3)
+    assert matrix.dtype == np.int64 and matrix.tolist() == want and scale == 12
+    assert gate_terms == [(18, 4), (0, 24), (9, 0)] and terms == set(gate_terms)
+    assert got_kinds == kinds and not relu_only
+    # each circuit casts the one exact matrix to the kernel's dtype
+    low = Circuit(3, (layer,), Gate(GateKind.SUM, affine({0: 1})))._lowered
     for dtype in (np.float64, np.int64, object):
-        matrix, scale, kinds, relu_only = layer.arrays(3, np.dtype(dtype))
+        (got,), _, _ = low.arrays(dtype)
+        matrix, scale, got_kinds, relu_only = got
         assert matrix.dtype == dtype and scale == 12
-        assert matrix.tolist() == [
-            [12, 0, -6, 4],
-            [0, 0, 0, -24],
-            [0, 9, 0, 0],
-            [0, 0, 0, 12],
-        ]
-        assert kinds == (GateKind.RELU, GateKind.LTF, GateKind.SUM) and not relu_only
+        assert matrix.tolist() == want
+        assert got_kinds == kinds and not relu_only
 
 
 def _mixed_layer(width, scale):

@@ -358,9 +358,9 @@ def test_a_layer_checked_at_one_width_is_checked_again_at_another():
 def test_vertex_route_circuits_share_one_lowered_layer():
     first, second = (universal_vertex_indicators(TruthTable(4, bits)) for bits in (0x6996, 0x1234))
     assert first.layers[0] is second.layers[0] is _vertex_layer(4)
-    (first_layer,), _, _ = first._lowered.arrays(np.float64)
-    (second_layer,), _, _ = second._lowered.arrays(np.float64)
-    assert first_layer is second_layer
+    (first_layer,) = first._lowered.layers
+    (second_layer,) = second._lowered.layers
+    assert first_layer is second_layer is _vertex_layer(4).lowered(4)
 
     # a layer compares and prints as the plain tuple of its gates
     plain = Circuit(4, (tuple(first.layers[0]),), first.output_gate)
@@ -369,13 +369,15 @@ def test_vertex_route_circuits_share_one_lowered_layer():
     fresh = circuit_from_json(circuit_to_json(first))
     assert fresh == first and first == fresh
     assert truth_table(fresh) == truth_table(first) == TruthTable(4, 0x6996)
-    assert fresh._lowered.arrays(np.float64)[0][0] is not first_layer
+    assert fresh._lowered.layers[0] is not first_layer
 
 
 
 def _same_arrays(got, want):
-    """Two `_Layer.arrays` tuples hold equal matrices of one dtype, with the
-    biases and the constant row, and the same scale, kinds and ReLU flag."""
+    """Two `_Layer.lowered` tuples, or two layer entries of
+    `_Lowering.arrays`, hold equal matrices of one dtype and element type,
+    with the biases and the constant row, and equal other fields: the scale,
+    kinds and ReLU flag, and a lowering's gate and bound terms."""
     a, b = got[0], want[0]
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.array_equal(a, b)
@@ -396,10 +398,16 @@ def test_a_selected_layer_lowers_like_a_layer_of_its_gates():
         selected = layer.select(keep)
         plain = _Layer(tuple(g for g, k in zip(layer, keep) if k))
         assert selected == plain and repr(selected) == repr(plain)
-        assert selected.lowered(4) == plain.lowered(4)
+        _same_arrays(selected.lowered(4), plain.lowered(4))
+        # a circuit over the selection lowers like one over the plain layer
+        out = Gate(GateKind.SUM, affine({j: j - 2 for j in range(len(plain))}, Fraction(1, 3)))
+        got, want = (Circuit(4, (hidden,), out)._lowered for hidden in (selected, plain))
+        assert (got.bound, got.output_den, got.products) == (want.bound, want.output_den, want.products)
         for dtype in (np.float64, np.int64, object):
-            dtype = np.dtype(dtype)
-            _same_arrays(selected.arrays(4, dtype), plain.arrays(4, dtype))
+            (got_layer,), got_out, _ = got.arrays(dtype)
+            (want_layer,), want_out, _ = want.arrays(dtype)
+            _same_arrays(got_layer, want_layer)
+            assert got_out[0].tolist() == want_out[0].tolist() and got_out[1] == want_out[1]
 
 
 def test_a_selected_layer_names_its_own_gate_on_a_wrong_width_read():
@@ -418,12 +426,17 @@ def test_a_selected_layer_names_its_own_gate_on_a_wrong_width_read():
 def test_fourier_route_selects_from_one_layer_per_arity():
     first, second = (universal_fourier(TruthTable(5, bits)) for bits in (0x9F767C45, 0x1234ABCD))
     layer, _, _ = _fourier_layer(5)
+    # the layer of arity 5 was lowered once, when it was built, and both
+    # selections took their rows from that lowering before any truth table
+    assert list(vars(layer)["_lowerings"]) == [5]
+    index = {id(g): i for i, g in enumerate(layer)}
+    matrix = layer.lowered(5)[0]
+    for c in (first, second):
+        assert list(vars(c.layers[0])["_lowerings"]) == [5]
+        rows = [index[id(g)] for g in c.layers[0]]
+        assert np.array_equal(c.layers[0].lowered(5)[0], matrix[rows + [-1]])
     assert truth_table(first) == TruthTable(5, 0x9F767C45)
     assert truth_table(second) == TruthTable(5, 0x1234ABCD)
-    # both took their float64 rows from the one layer of arity 5
-    assert (5, np.dtype(np.float64)) in vars(layer)["_arrays"]
-    shared = {id(g) for g in layer}
-    assert {id(g) for c in (first, second) for g in c.layers[0]} <= shared
 
 
 def _fourier_snapshot(circuit, point):
@@ -433,7 +446,8 @@ def _fourier_snapshot(circuit, point):
         circuit, repr(circuit), json.dumps(circuit_to_json(circuit), sort_keys=True),
         truth_table(circuit), evaluate(circuit, point),
         fwd.output_pre_num.dtype, fwd.output_pre_num.tolist(), fwd.output_pre_den,
-        low.bound, low.output_den, low.products, low.use_object,
+        low.bound, low.output_den, low.products,
+        [(matrix.dtype, matrix.tolist(), scale) for matrix, scale, *_ in low.layers],
     )
 
 
@@ -512,7 +526,7 @@ def _assert_same_as_reference(got, want, cube):
     assert row == want.output_gate.form._integer_row(width)
     assert all(type(v) is int for v in row[0])
     low, ref = got._lowered, want._lowered
-    for field in ("bound", "output_den", "products", "use_object", "output"):
+    for field in ("bound", "output_den", "products", "output", "skip"):
         assert getattr(low, field) == getattr(ref, field), field
     if cube:
         fwd, ref_fwd = forward_on_cube(got), forward_on_cube(want)

@@ -182,7 +182,11 @@ def test_layers_above_the_second_keep_their_lowering(rng):
     c._lowered.arrays(np.int64)
     restricted = apply_restriction(c, Restriction(6, {1: 1, 4: -1})).restricted
     assert restricted.layers[2] is c.layers[2]
-    assert restricted._lowered.arrays(np.int64)[0][2] is c._lowered.arrays(np.int64)[0][2]
+    assert restricted._lowered.layers[2] is c._lowered.layers[2]
+    # the int64 kernel reads the exact int64 matrix itself, with no copy
+    matrix = c._lowered.layers[2][0]
+    assert matrix.dtype == np.int64
+    assert restricted._lowered.arrays(np.int64)[0][2][0] is matrix
 
 
 @pytest.mark.parametrize("weights, bias, fixed, want_weights, want_bias", [
