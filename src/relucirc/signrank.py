@@ -262,6 +262,16 @@ def _reorder(
     return RationalMatrix._from_array(*_lowest_terms(nums[np.add.outer(rows, cols)], den))
 
 
+def _pair_orders(circuit: Circuit, m: int, row_order, col_order, cap) -> tuple:
+    """The row and column orderings, identity by default, once the circuit
+    is checked to read (x, y) pairs of m bits with m within the matrix cap."""
+    if circuit.input_count != 2 * m:
+        raise ArityError(f"circuit arity {circuit.input_count}, expected {2 * m}")
+    if m > matrix_cap(cap):
+        raise ResourceCapError(f"m = {m} exceeds matrix cap")
+    return row_order or VertexOrdering.identity(m), col_order or VertexOrdering.identity(m)
+
+
 def pre_sign_matrix(
     circuit: Circuit,
     m: int,
@@ -270,12 +280,7 @@ def pre_sign_matrix(
     cap: int | None = None,
 ) -> RationalMatrix:
     """The output gate's argument (before its sign) over all (x, y) pairs."""
-    if circuit.input_count != 2 * m:
-        raise ArityError(f"circuit arity {circuit.input_count}, expected {2 * m}")
-    if m > matrix_cap(cap):
-        raise ResourceCapError(f"m = {m} exceeds matrix cap")
-    row_order = row_order or VertexOrdering.identity(m)
-    col_order = col_order or VertexOrdering.identity(m)
+    row_order, col_order = _pair_orders(circuit, m, row_order, col_order, cap)
     fwd = forward_on_cube(circuit, cap=2 * m)
     return _reorder(fwd.output_pre_num, fwd.output_pre_den, m, row_order, col_order)
 
@@ -294,12 +299,9 @@ def top_decomposition(
     """
     if circuit.skip_wires is not None:
         raise ContractError("decomposition expects a circuit without skip wires")
-    if circuit.input_count != 2 * m:
-        raise ArityError(f"circuit arity {circuit.input_count}, expected {2 * m}")
     if not circuit.layers:
         raise ContractError("no hidden layer to decompose over")
-    row_order = row_order or VertexOrdering.identity(m)
-    col_order = col_order or VertexOrdering.identity(m)
+    row_order, col_order = _pair_orders(circuit, m, row_order, col_order, cap)
     fwd = forward_on_cube(circuit, cap=2 * m, keep_last_hidden=True)
     out_form = circuit.output_gate.form
     alphas = []

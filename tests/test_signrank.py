@@ -198,6 +198,14 @@ def test_pre_sign_rejects_wrong_arity():
         pre_sign_matrix(c, 2)
 
 
+def test_top_decomposition_keeps_the_matrix_cap():
+    c = random_cone_circuit(2, (2,), 1, random.Random(0))
+    for read in (pre_sign_matrix, top_decomposition):
+        with pytest.raises(ResourceCapError, match="m = 2 exceeds matrix cap"):
+            read(c, 2, cap=1)
+        read(c, 2, cap=2)
+
+
 def test_top_decomposition_reassembles_the_matrix():
     for seed in (3, 7, 11):
         m = 3
