@@ -133,9 +133,10 @@ def _parity_ladder_coeffs(k: int) -> tuple[int, ...]:
 def parity_sum_of_relu(k: int) -> Circuit:
     """Sum of k+1 ReLUs computing (x1 + ... + xk) mod 2 on {0,1}^k inputs."""
     coeffs = _parity_ladder_coeffs(k)
-    ones = {i: Fraction(1) for i in range(k)}
+    # one weight dict for every gate: AffineForm never mutates its weights
+    ones = dict.fromkeys(range(k), Fraction(1))
     gates = tuple(
-        Gate(GateKind.RELU, AffineForm(dict(ones), Fraction(-h)))
+        Gate(GateKind.RELU, AffineForm(ones, Fraction(-h)))
         for h in range(k + 1)
     )
     out = AffineForm({h: Fraction(c) for h, c in enumerate(coeffs) if c}, Fraction(0))
