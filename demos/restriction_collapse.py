@@ -23,6 +23,7 @@ from relucirc import (
 )
 from relucirc.circuit import vertex
 from relucirc.restriction import random_ltf_of_relu
+from relucirc.serialize import gate_wire
 
 # --- watch a single circuit collapse ----------------------------------------
 rng = random.Random(7)
@@ -30,9 +31,9 @@ circuit = random_ltf_of_relu(n=6, gate_count=8, bound=3, rng=rng)
 rho = Restriction(6, {1: -1, 2: 1, 5: 1, 6: -1})
 report = apply_restriction(circuit, rho)
 print(f"restricted a {circuit.relu_count}-gate circuit, fixing 4 of 6 inputs:")
-print(f"  removed as constant zero: {list(report.removed_as_zero)}")
-print(f"  linearized and folded:    {list(report.linearized)}")
-print(f"  still nonlinear:          {list(report.survivors)}")
+print(f"  removed as constant zero: {[gate_wire(1, j + 1) for j in report.removed_as_zero]}")
+print(f"  linearized and folded:    {[gate_wire(1, j + 1) for j in report.linearized]}")
+print(f"  still nonlinear:          {[gate_wire(1, j + 1) for j in report.survivors]}")
 print(f"  gates left: {report.restricted.relu_count}")
 
 # the restricted circuit is the exact slice of the original

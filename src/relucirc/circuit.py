@@ -205,15 +205,6 @@ class GateKind(str, Enum):
     SUM = "SUM"
 
 
-def apply_kind(kind: GateKind, t: Fraction) -> Fraction:
-    if kind is GateKind.RELU:
-        return t if t > 0 else Fraction(0)
-    if kind is GateKind.LTF:
-        # threshold at exactly zero outputs +1
-        return Fraction(1) if t >= 0 else Fraction(-1)
-    return t
-
-
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -289,7 +280,7 @@ class _Layer(tuple):
             terms = set(gate_terms)
             top = max([scale, *map(max, terms)])
             rows.append([0] * width + [scale])
-            matrix = np.array(rows, dtype=np.int64 if top < _INT64_SAFE else object)
+            matrix = np.array(rows, dtype=_exact_dtype(top))
             kinds = tuple([g.kind for g in self])
             relu_only = kinds.count(GateKind.RELU) == len(kinds)
             self._lowerings[width] = (matrix, scale, gate_terms, terms, kinds, relu_only)
@@ -382,8 +373,8 @@ def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
     """Evaluate the circuit at an arbitrary rational point (not just the cube).
 
     The point is scaled by the lcm of its denominators and run through the
-    same integer kernel as the cube enumerator, on Python ints, so there is
-    no overflow case.
+    same integer kernel as the cube enumerator, whose dtype its largest
+    scaled coordinate or the lcm picks (`_forward_exact`).
     """
     if len(point) != circuit.input_count:
         raise ArityError(
@@ -391,9 +382,12 @@ def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
         )
     ratios = [exact(v).as_integer_ratio() for v in point]
     x_den = math.lcm(*(den for _, den in ratios))
-    x = np.array([*(num * (x_den // den) for num, den in ratios), x_den], dtype=object)
-    fwd = _forward(circuit._lowered, x.reshape(-1, 1), x_den)
-    return apply_kind(circuit.output_gate.kind, fwd.output_pre(0))
+    nums = [num * (x_den // den) for num, den in ratios]
+    mu = max([x_den, *map(abs, nums)])
+    x = np.array([*nums, x_den], dtype=_exact_dtype(mu))[:, None]
+    fwd = _forward_exact(circuit._lowered, x, x_den, mu)
+    den = fwd.output_pre_den
+    return Fraction(int(_activate(circuit.output_gate.kind, fwd.output_pre_num, den)[0]), den)
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +513,18 @@ class TruthTable:
 # 2^20 took 32 to 37 ms, and 2^15 took 41 to 44 ms (4 vertices a slab for
 # the widest n = 10 layer); 2^17 keeps a step away from that cliff.
 #
-# The cube enumerator (`_forward_slab`) picks the kernel's dtype
-# (`_kernel_dtype`) from the lowering's static bound W = max(bound,
-# output_den): float64 when W < 2^53, int64 when W < 2^62, and Python-object
-# entries otherwise, which `evaluate` always uses.  The grid check
-# (`pwl.first_grid_mismatch`) applies the same rule to W scaled by its
-# inputs' largest magnitude.  A slab of fewer than _BLAS_MIN_PRODUCTS
-# multiply-adds stays on int64 even below 2^53: there a BLAS call and the
-# casts to float64 and back cost more than numpy's integer loop.  On 2 cores with OpenBLAS 0.3.31
-# and caches cold between calls, the universal circuits took a median 43 us
-# on int64 and 48 us on float64 at n = 4 (1300 to 2400 multiply-adds), and
-# 69 and 59 us at n = 5 (6300 to 21000).
+# Every pass enters the kernel through `_forward_exact`, whose dtype
+# (`_kernel_dtype`) W = mu * top picks, ``top`` = max(bound, output_den) and mu
+# the inputs' largest magnitude (1 on the cube, the largest scaled coordinate
+# or ``x_den`` in `evaluate`, max(count * sn, sd) in `pwl.first_grid_mismatch`):
+# float64 when W < 2^53, int64 when W < 2^62 and Python ints otherwise, the
+# int64-or-object rule `_exact_dtype` of every module.  A slab of fewer than
+# _BLAS_MIN_PRODUCTS multiply-adds stays on int64 even below 2^53: there a
+# BLAS call and the casts to float64 and back cost more than numpy's integer
+# loop.  On 2 cores with OpenBLAS 0.3.31 and caches cold between calls, the
+# universal circuits took a median 43 us on int64 and 48 us on float64 at
+# n = 4 (1300 to 2400 multiply-adds), and 69 and 59 us at n = 5 (6300 to
+# 21000).
 #
 # The float64 path is exact.  The inputs are +-1 and every weight, bias and
 # scale is an integer, so every intermediate, and every partial sum of every
@@ -549,6 +544,24 @@ _FLOAT64_EXACT = 1 << 53
 _BLAS_MIN_PRODUCTS = 1 << 12
 _INT64_SAFE = 1 << 62
 _SLAB_ELEMENTS = 1 << 17
+
+
+def _exact_dtype(top: int) -> type:
+    """int64 for integers of magnitude at most ``top`` below 2^62 (room for
+    one more addition of two such values), Python ints (object) otherwise."""
+    return np.int64 if top < _INT64_SAFE else object
+
+
+def _activate(kind: GateKind, num: np.ndarray, den) -> np.ndarray:
+    """A gate's nonlinearity on numerators ``num`` over ``den`` (an int, or
+    an array of per-column denominators): ReLU keeps the positive part, LTF
+    gives +-den (+den at exactly 0), SUM passes ``num`` through."""
+    if kind is GateKind.RELU:
+        return np.maximum(num, 0)
+    if kind is GateKind.LTF:
+        den = np.asarray(den, dtype=num.dtype)
+        return np.where(num >= 0, den, -den)
+    return num
 
 
 def _lower_forms(
@@ -575,10 +588,10 @@ class _Lowering:
     outputs +-den; inputs of magnitude at most mu over ``x_den`` <= mu scale
     it by mu.  ``output_den`` is the output pre-activation's denominator when
     ``x_den`` is 1, and bounds the scales the kernel multiplies the output
-    terms by.  On the cube the kernel runs on float64 arrays while both stay
-    below 2^53 (on slabs of at least _BLAS_MIN_PRODUCTS multiply-adds) and on
-    int64 arrays below 2^62.  ``products`` counts the multiply-adds of a
-    forward pass per input point.
+    terms by.  ``top`` = max(bound, output_den), times mu, picks the kernel's
+    dtype (`_forward_exact`).  ``output`` and ``skip`` are (row, scale), each
+    row an exact array (`_exact_dtype`), biases last.  ``products`` counts
+    the multiply-adds of a forward pass per input point.
     """
 
     def __init__(self, circuit: Circuit):
@@ -609,8 +622,11 @@ class _Lowering:
             (skip_row,), skip_scale, (skip_abs,) = _lower_forms([circuit.skip_wires], n)
         else:
             skip_row, skip_scale, skip_abs = [0] * (n + 1), 1, 0
-        self.output = (out_row, out_scale)
-        self.skip = (skip_row, skip_scale)
+        rows = ((out_row, out_scale, out_abs), (skip_row, skip_scale, skip_abs))
+        self.output, self.skip = (
+            (np.array(row, dtype=_exact_dtype(abs_sum + abs(row[-1]))), scale)
+            for row, scale, abs_sum in rows
+        )
         out_bound = (
             out_abs * bound * skip_scale
             + (skip_abs + abs(skip_row[-1])) * den * out_scale
@@ -618,6 +634,7 @@ class _Lowering:
         )
         self.bound = max(bound, out_bound)
         self.output_den = den * out_scale * skip_scale
+        self.top = max(self.bound, self.output_den)
         # the output row reads the last layer, the skip row the inputs
         self.products = products + prev_width + n
         self._arrays: dict[np.dtype, tuple] = {}
@@ -626,8 +643,8 @@ class _Lowering:
         """(layers, output, skip) with numpy rows, biases last, of the given
         dtype: float64, int64 or object.  Each hidden layer's entry is
         (matrix, scale, kinds, relu_only), its `_Layer.lowered` matrix cast to
-        the dtype (the matrix itself when it has that dtype); the output and
-        skip entries are (row, scale)."""
+        the dtype; the output and skip entries are (row, scale), their rows
+        cast likewise (each array itself when it has that dtype)."""
         dtype = np.dtype(dtype)
         if dtype not in self._arrays:
             layers = tuple(
@@ -635,7 +652,7 @@ class _Lowering:
                 for matrix, scale, _, _, kinds, relu_only in self.layers
             )
             out, skip = (
-                (np.array(row, dtype=dtype), scale) for row, scale in (self.output, self.skip)
+                (row.astype(dtype, copy=False), scale) for row, scale in (self.output, self.skip)
             )
             self._arrays[dtype] = (layers, out, skip)
         return self._arrays[dtype]
@@ -662,9 +679,10 @@ def _forward(
     x holds float64, int64 or Python-int (object) entries, and the circuit's
     rows follow its dtype.  Its last row is the constant x_den, which the
     bias column of each row multiplies.  Object entries are always exact.
-    On +-1 inputs with ``x_den`` 1, int64 is exact while the lowering's
-    static bound stays below 2^62 and float64 while it stays below 2^53 (see
-    the section comment above); `_kernel_dtype` chooses among the three.
+    On inputs of magnitude at most mu, int64 is exact while mu times the
+    lowering's ``top`` stays below 2^62 and float64 while it stays below
+    2^53 (see the section comment above); callers go through
+    `_forward_exact`, which chooses among the three.
     """
     layers, (w_out, out_scale), (w_skip, skip_scale) = low.arrays(x.dtype)
     values = x
@@ -682,12 +700,8 @@ def _forward(
             np.maximum(values, 0, out=values)
         else:
             # the constant row is the layer's denominator, an LTF's +-1
-            ltf_den = values[-1]
             for g, kind in enumerate(kinds):
-                if kind is GateKind.RELU:
-                    np.maximum(values[g], 0, out=values[g])
-                elif kind is GateKind.LTF:
-                    values[g] = np.where(values[g] >= 0, ltf_den, -ltf_den)
+                values[g] = _activate(kind, values[g], values[-1])
 
     den = x_den * depth_scale
     pre = w_out.dot(values) * skip_scale + w_skip.dot(x) * (depth_scale * out_scale)
@@ -705,35 +719,25 @@ def _kernel_dtype(top: int, products: int) -> type:
     ``top`` in magnitude and which makes ``products`` multiply-adds: float64
     below 2^53 on at least _BLAS_MIN_PRODUCTS of them, int64 below 2^62, and
     Python ints otherwise (see the section comment above)."""
-    if top >= _INT64_SAFE:
-        return object
     if top >= _FLOAT64_EXACT or products < _BLAS_MIN_PRODUCTS:
-        return np.int64
+        return _exact_dtype(top)
     return np.float64
 
 
 def _forward_exact(
-    low: _Lowering, x: np.ndarray, x_den: int, top: int, keep_last_hidden: bool = False
+    low: _Lowering, x: np.ndarray, x_den: int, mu: int = 1, keep_last_hidden: bool = False
 ) -> CubeForward:
-    """`_forward` on the columns of an int64 or object x, in the dtype that
-    `_kernel_dtype` picks for values at most ``top``; the numerators come back
-    as int64 or object arrays."""
-    dtype = _kernel_dtype(top, low.products * x.shape[1])
+    """`_forward` on the columns of an int64 or object x, every entry and
+    ``x_den`` at most ``mu`` in magnitude, in the dtype that `_kernel_dtype`
+    picks for values at most mu times the lowering's ``top``; the numerators
+    come back as int64 or object arrays.  The one way into the kernel."""
+    dtype = _kernel_dtype(mu * low.top, low.products * x.shape[1])
     fwd = _forward(low, x.astype(dtype, copy=False), x_den, keep_last_hidden)
     if dtype is np.float64:
         fwd.output_pre_num = fwd.output_pre_num.astype(np.int64)
         if fwd.last_hidden_num is not None:
             fwd.last_hidden_num = fwd.last_hidden_num.astype(np.int64)
     return fwd
-
-
-def _forward_slab(
-    circuit: Circuit, x_slab: np.ndarray, keep_last_hidden: bool = False
-) -> CubeForward:
-    """Exact forward pass on an int64 slab of +-1 vertices, whose values the
-    lowering's static bound bounds."""
-    low = circuit._lowered
-    return _forward_exact(low, x_slab, 1, max(low.bound, low.output_den), keep_last_hidden)
 
 
 def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:
@@ -749,7 +753,7 @@ def _cube_forwards(circuit: Circuit) -> Iterator[tuple[int, CubeForward]]:
     widest = max(circuit.widths, default=1)
     step = min(1 << n, 1 << (max(_SLAB_ELEMENTS // widest, 1).bit_length() - 1))
     for start in range(0, 1 << n, step):
-        yield start, _forward_slab(circuit, _cube_slab(n, start, start + step))
+        yield start, _forward_exact(circuit._lowered, _cube_slab(n, start, start + step), 1)
 
 
 def _cube_slab(n: int, start: int, stop: int) -> np.ndarray:
@@ -780,7 +784,9 @@ def forward_on_cube(circuit: Circuit, cap: int | None = None, keep_last_hidden: 
     n = circuit.input_count
     if n > enumeration_cap(cap):
         raise ResourceCapError(f"arity {n} exceeds enumeration cap")
-    return _forward_slab(circuit, _cube_slab(n, 0, 1 << n), keep_last_hidden)
+    return _forward_exact(
+        circuit._lowered, _cube_slab(n, 0, 1 << n), 1, keep_last_hidden=keep_last_hidden
+    )
 
 
 def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:

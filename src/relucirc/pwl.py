@@ -8,9 +8,14 @@ somewhere.  This module computes the kink locus and builds those witnesses.
 
 The grid scans (`grid_max_error`, `first_grid_mismatch`) put the grid on an
 integer axis k * sn/sd and run exact integer numpy arithmetic over whole
-slabs of grid points: int64 when a static bound computed up front stays
-below 2^62, Python-int object arrays otherwise.  A slab holds at most 2^18
-points, so memory stays bounded whatever the grid's size.
+slabs of grid points, in the dtype `circuit._exact_dtype` gives for a static
+bound computed up front: int64 below 2^62, Python-int object arrays
+otherwise.  `grid_max_error` scans its sum of ReLU terms itself;
+`first_grid_mismatch` runs each slab through the circuit's exact kernel
+(`circuit._forward_exact`), which picks its own dtype from the same bound,
+and applies the output gate's nonlinearity with the kernel's
+`circuit._activate`.  A slab holds at most 2^18 points, so memory stays
+bounded whatever the grid's size.
 """
 from __future__ import annotations
 
@@ -22,13 +27,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .circuit import (
-    _INT64_SAFE,
     ArityError,
     Circuit,
     ContractError,
-    GateKind,
     InvariantViolationError,
     Rational,
+    _activate,
+    _exact_dtype,
     _forward_exact,
     exact,
 )
@@ -241,18 +246,17 @@ def _grid_axis(radius: Rational, step: Rational) -> tuple[int, int, int]:
     return int(r / s), s.numerator, s.denominator
 
 
-def _grid_slabs(count: int, use_object: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _grid_slabs(count: int, dtype: type) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(k1, k2) of the grid's points in row-major order (k1 outer), at most
-    _SLAB_POINTS at a time, as int64 or as Python-int object arrays."""
+    _SLAB_POINTS at a time, as arrays of ``dtype``: int64 or object (Python
+    ints)."""
     side = 2 * count + 1
     total = side * side
     for start in range(0, total, _SLAB_POINTS):
         row, col = divmod(start, side)
         flat = col + np.arange(min(_SLAB_POINTS, total - start), dtype=np.int64)
         k1, k2 = flat // side + (row - count), flat % side - count
-        if use_object:
-            k1, k2 = k1.astype(object), k2.astype(object)
-        yield k1, k2
+        yield k1.astype(dtype, copy=False), k2.astype(dtype, copy=False)
 
 
 def grid_max_error(
@@ -282,7 +286,7 @@ def grid_max_error(
         abs(w) * ((abs(a1) + abs(a2)) * reach + abs(b) + 1) for w, (a1, a2, b) in terms
     )
     worst = 0
-    for k1, k2 in _grid_slabs(count, bound >= _INT64_SAFE):
+    for k1, k2 in _grid_slabs(count, _exact_dtype(bound)):
         gap = np.maximum(np.maximum(k1, k2), 0) * target
         for w, (a1, a2, b) in terms:
             gap -= w * np.maximum(a1 * k1 + a2 * k2 + b, 0)
@@ -352,27 +356,22 @@ def first_grid_mismatch(
     Each slab of grid points runs through the circuit's integer kernel as
     the columns of x = (k1 * sn, k2 * sn, sd) over x_den = sd, the last row
     being the kernel's constant row.  Inputs then have magnitude at most
-    mu = max(count * sn, sd), which scales the lowering's static bound by
-    mu; that scaled bound picks the kernel's dtype as on the cube: float64
-    below 2^53, int64 below 2^62, Python ints otherwise.
+    mu = max(count * sn, sd), which scales the lowering's static bound
+    ``top``; the kernel picks its dtype from that product as on the cube,
+    and the slabs are int64 or Python ints by the same product.
     """
     if circuit.input_count != 2:
         raise ArityError("expected a circuit on two inputs")
     count, sn, sd = _grid_axis(radius, step)
     low = circuit._lowered
-    top = max(count * sn, sd) * max(low.bound, low.output_den)
-    use_object = top >= _INT64_SAFE
+    mu = max(count * sn, sd)
     # the target's numerator over the output denominator sd * output_den
     target = sn * low.output_den
     kind = circuit.output_gate.kind
-    for k1, k2 in _grid_slabs(count, use_object):
-        fwd = _forward_exact(low, np.stack([k1 * sn, k2 * sn, np.full_like(k1, sd)]), sd, top)
-        got, den = fwd.output_pre_num, fwd.output_pre_den
-        if kind is GateKind.RELU:
-            got = np.maximum(got, 0)
-        elif kind is GateKind.LTF:
-            ltf_den = np.array(den, dtype=got.dtype)
-            got = np.where(got >= 0, ltf_den, -ltf_den)
+    for k1, k2 in _grid_slabs(count, _exact_dtype(mu * low.top)):
+        fwd = _forward_exact(low, np.stack([k1 * sn, k2 * sn, np.full_like(k1, sd)]), sd, mu)
+        den = fwd.output_pre_den
+        got = _activate(kind, fwd.output_pre_num, den)
         bad = np.flatnonzero(got != np.maximum(np.maximum(k1, k2), 0) * target)
         if bad.size:
             i = bad[0]

@@ -22,17 +22,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import (
-    _INT64_SAFE,
     AffineForm,
     ArityError,
     Circuit,
     ContractError,
     Gate,
     GateKind,
+    _exact_dtype,
     affine,
 )
 from .hardfuncs import AndreevInput, andreev_layout, row_parity_index
-from .serialize import gate_wire
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def collapse_rule(rows, biases, fixed, signs) -> tuple[np.ndarray, np.ndarray, n
     """
     biases = np.asarray(biases, dtype=rows.dtype)
     top = max(int(np.abs(rows).max(initial=0)), int(np.abs(biases).max(initial=0)))
-    dtype = np.int64 if top * (rows.shape[1] + 1) < _INT64_SAFE else object
+    dtype = _exact_dtype(top * (rows.shape[1] + 1))
     return _fold(
         rows.astype(dtype, copy=False),
         biases.astype(dtype, copy=False),
@@ -127,11 +126,12 @@ def removability(form: AffineForm, rho: Restriction) -> Removability:
 
 @dataclass(frozen=True)
 class CollapseReport:
-    """Where each bottom-layer gate went under a restriction, by wire id."""
+    """Where each bottom-layer gate went under a restriction, by its 0-based
+    position in the bottom layer."""
 
-    removed_as_zero: tuple[str, ...]
-    linearized: tuple[str, ...]
-    survivors: tuple[str, ...]
+    removed_as_zero: tuple[int, ...]
+    linearized: tuple[int, ...]
+    survivors: tuple[int, ...]
     restricted: Circuit
 
 
@@ -178,54 +178,48 @@ def apply_restriction(circuit: Circuit, rho: Restriction) -> CollapseReport:
         else _free_part(g.form, Fraction(b, scale), new_index)
         for g, b, c in zip(bottom, folded_b.tolist(), classes)
     ]
-    ids = [gate_wire(1, j + 1) for j in range(len(bottom))]
     removed, linear, alive = (
-        tuple(i for i, c in zip(ids, classes) if c is kind) for kind in Removability
+        tuple(j for j, c in enumerate(classes) if c is kind) for kind in Removability
     )
     skip_row, skip_scale = low.skip
-    row = np.array([skip_row], dtype=object)
-    (skip_num,), _, _ = collapse_rule(row[:, :-1], row[:, -1], fixed, signs)
+    (skip_num,), _, _ = collapse_rule(skip_row[None, :-1], skip_row[-1:], fixed, signs)
     skip = _free_part(
         circuit.skip_wires or AffineForm({}), Fraction(int(skip_num), skip_scale), new_index
     )
     skip_w, skip_b = dict(skip.weights), skip.bias
 
-    if len(circuit.layers) == 1:
-        out_form = circuit.output_gate.form
-        new_gates = []
-        new_out_w: dict[int, Fraction] = {}
-        for j, (form, cls) in enumerate(zip(folded, classes)):
+    # keep survivors as ReLU gates and linearized gates as SUM gates, except
+    # at depth 2, where alpha times a linearized form folds into the skip
+    # wires; then renumber the gates that read the bottom layer
+    depth2 = len(circuit.layers) == 1
+    out_form = circuit.output_gate.form
+    new_bottom = []
+    pos_of: dict[int, int] = {}
+    for j, (form, cls) in enumerate(zip(folded, classes)):
+        if cls is Removability.LINEARIZED and depth2:
             alpha = out_form.weights.get(j, Fraction(0))
-            if cls is Removability.SURVIVES:
-                if alpha:
-                    new_out_w[len(new_gates)] = alpha
-                new_gates.append(Gate(GateKind.RELU, form))
-            elif cls is Removability.LINEARIZED and alpha:
-                for p, c in form.weights.items():
-                    skip_w[p] = skip_w.get(p, Fraction(0)) + alpha * c
-                skip_b += alpha * form.bias
-        new_layers = (tuple(new_gates),) if new_gates else ()
-        output_gate = Gate(circuit.output_gate.kind, AffineForm(new_out_w, out_form.bias))
-    else:
-        # deeper circuits: rewrite the bottom layer in place, renumber its gates
-        new_bottom = []
-        pos_of: dict[int, int] = {}
-        for j, (form, cls) in enumerate(zip(folded, classes)):
-            if cls is Removability.CONSTANT_ZERO:
-                continue
+            for p, c in form.weights.items():
+                skip_w[p] = skip_w.get(p, Fraction(0)) + alpha * c
+            skip_b += alpha * form.bias
+        elif cls is not Removability.CONSTANT_ZERO:
             kind = GateKind.RELU if cls is Removability.SURVIVES else GateKind.SUM
             pos_of[j] = len(new_bottom)
             new_bottom.append(Gate(kind, form))
-        second = tuple(
-            Gate(g.kind, AffineForm(
-                {pos_of[p]: c for p, c in g.form.weights.items() if p in pos_of},
-                g.form.bias,
-            ))
-            for g in circuit.layers[1]
-        )
-        # a vanished bottom layer leaves the second layer reading nothing, as
-        # the new bottom layer
-        new_layers = ((tuple(new_bottom),) if new_bottom else ()) + (second,) + circuit.layers[2:]
+    readers = tuple(
+        Gate(g.kind, AffineForm(
+            # the depth-2 output drops explicit zero weights
+            {pos_of[p]: c for p, c in g.form.weights.items() if p in pos_of and (c or not depth2)},
+            g.form.bias,
+        ))
+        for g in ((circuit.output_gate,) if depth2 else circuit.layers[1])
+    )
+    # a vanished bottom layer leaves its readers reading nothing: the output
+    # gate at depth 2, the second layer as the new bottom layer otherwise
+    new_layers = (tuple(new_bottom),) if new_bottom else ()
+    if depth2:
+        (output_gate,) = readers
+    else:
+        new_layers += (readers,) + circuit.layers[2:]
         output_gate = circuit.output_gate
     skip = AffineForm({w: c for w, c in skip_w.items() if c}, skip_b)
     restricted = Circuit(
@@ -376,7 +370,7 @@ def survival_experiment(
         row_starts = half + cols * np.arange(rows)
         weight_count = gate_count * n
         # |b'| + mass <= (n + 1) W, so W alone picks the dtype for every trial
-        dtype = np.int64 if bound * (n + 1) < _INT64_SAFE else object
+        dtype = _exact_dtype(bound * (n + 1))
         survivors = np.empty(trials, dtype=np.int64)
         for t in range(trials):
             rng = np.random.default_rng([seed, n, t])

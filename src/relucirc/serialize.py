@@ -300,9 +300,9 @@ def restrict_apply_report(circuit_path: str, fix: dict[int, int], report) -> dic
             "mode": "apply", "circuit": circuit_path,
             "fix": {str(k): v for k, v in sorted(fix.items())},
         },
-        "removedAsZero": list(report.removed_as_zero),
-        "linearizedAndRewired": list(report.linearized),
-        "survivors": list(report.survivors),
+        "removedAsZero": [gate_wire(1, j + 1) for j in report.removed_as_zero],
+        "linearizedAndRewired": [gate_wire(1, j + 1) for j in report.linearized],
+        "survivors": [gate_wire(1, j + 1) for j in report.survivors],
         "restrictedCircuit": circuit_to_json(report.restricted),
     }
 

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import (
-    _INT64_SAFE,
     AffineForm,
     ArityError,
     Circuit,
@@ -39,6 +38,7 @@ from .circuit import (
     GateKind,
     InvariantViolationError,
     ResourceCapError,
+    _exact_dtype,
     cube_matrix,
     forward_on_cube,
     matrix_cap,
@@ -54,7 +54,7 @@ def _cube_dots(m: int, r: Sequence[int | Fraction]) -> np.ndarray:
     q = [Fraction(v) for v in r]
     scale = math.lcm(*(v.denominator for v in q))
     ints = [v.numerator * (scale // v.denominator) for v in q]
-    dtype = np.int64 if sum(map(abs, ints)) < _INT64_SAFE else object
+    dtype = _exact_dtype(sum(map(abs, ints)))
     return np.array(ints, dtype=dtype) @ cube_matrix(m, dtype=dtype)
 
 
@@ -97,15 +97,13 @@ def _rectangular(rows: tuple[tuple, ...]) -> tuple[int, int]:
 
 
 def _lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """(num, den) divided by their gcd; int64 numerators when all fit."""
-    if num.dtype != object and ((num >= _INT64_SAFE) | (num <= -_INT64_SAFE)).any():
-        num = num.astype(object)
+    """(num, den) divided by their gcd; int64 numerators when all fit
+    (`_exact_dtype` of the largest magnitude), Python ints otherwise."""
     g = math.gcd(den, int(np.gcd.reduce(num, axis=None))) if num.size else den
     if g > 1:
         num, den = num // g, den // g
-    if num.dtype == object and (num.size == 0 or np.abs(num).max() < _INT64_SAFE):
-        num = num.astype(np.int64)
-    return num, den
+    top = max(int(num.max(initial=0)), -int(num.min(initial=0)))
+    return num.astype(_exact_dtype(top), copy=False), den
 
 
 class _Matrix:

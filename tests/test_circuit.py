@@ -1,9 +1,11 @@
 """Core circuit representation: exact evaluation and truth tables."""
 
+import ast
 import gc
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from relucirc import (
 )
 from relucirc import circuit as circuit_module
 from relucirc.circuit import _full_cube, cube_matrix, vertex
+from relucirc.constructions import max0xy_depth2
 
 from conftest import (
     random_circuit,
@@ -481,6 +484,47 @@ def test_float64_path_matches_scalar_table_on_random_circuits(rng, kernel_dtypes
 
 
 # ---------------------------------------------------------------------------
+# evaluate enters the kernel as the cube does: the static bound ``top``,
+# scaled by the point's largest scaled coordinate or the lcm of its
+# denominators, picks the dtype
+
+def test_evaluate_runs_int64_at_points_of_the_cube(rng, kernel_dtypes):
+    for c in (max0xy_depth2(), random_circuit(rng, 3, 3, 3, out_kind=GateKind.RELU)):
+        n = c.input_count
+        points = [vertex(n, i) for i in range(1 << n)]
+        assert [evaluate(c, p) for p in points] == [scalar_evaluate(c, p) for p in points]
+        assert c._lowered.products < 2**12
+    assert kernel_dtypes == [np.int64] * (4 + 8)
+
+
+def test_evaluate_runs_float64_on_a_pass_of_at_least_2_12_products(rng, kernel_dtypes):
+    # 64 ReLU gates on 64 inputs: 64 * 64 + 64 + 64 multiply-adds a point
+    n = 64
+    hidden = tuple(
+        Gate(GateKind.RELU, affine({i: rng.randint(-3, 3) for i in range(n)}, rng.randint(-9, 9)))
+        for _ in range(n)
+    )
+    c = Circuit(n, (hidden,), Gate(GateKind.SUM, affine({j: Fraction((-1) ** j, 2) for j in range(n)})))
+    assert c._lowered.products == 4224
+    point = [rng.choice((-1, 1)) for _ in range(n)]
+    assert evaluate(c, point) == scalar_evaluate(c, point)
+    assert kernel_dtypes == [np.float64]
+
+
+@pytest.mark.parametrize("past, dtype", [(0, np.int64), (1, object)])
+def test_evaluate_runs_object_once_the_scaled_bound_reaches_2_62(kernel_dtypes, past, dtype):
+    c = max0xy_depth2()
+    top = c._lowered.top
+    # the largest mu with mu * top below 2^62, or the next one
+    mu = -(-2**62 // top) - 1 + past
+    assert (mu * top >= 2**62) is bool(past)
+    points = [(mu, -mu), (Fraction(mu, 3), Fraction(-1, 3)), (Fraction(1, mu), 0)]
+    for point in points:
+        assert evaluate(c, point) == scalar_evaluate(c, point)
+    assert kernel_dtypes == [dtype] * 3
+
+
+# ---------------------------------------------------------------------------
 # cube slabs: the largest power-of-two vertex count whose product with the
 # widest hidden layer is at most _SLAB_ELEMENTS
 
@@ -687,3 +731,33 @@ def test_table_hex_round_trips(n, data):
     t = TruthTable(n, bits)
     assert TruthTable.from_hex(n, t.to_hex()) == t
 
+
+
+# ---------------------------------------------------------------------------
+# one way into the kernel: every other module enters it through
+# `_forward_exact` and takes the int64-or-object rule from `_exact_dtype`
+
+def _names(tree):
+    """Every name a module binds, reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_module_but_circuit_names_the_kernel_or_its_int64_limit():
+    src = Path(circuit_module.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "circuit.py":
+            named = _names(ast.parse(path.read_text())) & {"_forward", "_INT64_SAFE"}
+            assert not named, f"{path.name} names {sorted(named)}"
+
+
+def test_the_name_scan_finds_imports_attributes_and_reads():
+    tree = ast.parse("from .circuit import _INT64_SAFE as cap\nc._forward(x)\ny = z")
+    assert _names(tree) == {"_INT64_SAFE", "c", "_forward", "x", "y", "z"}

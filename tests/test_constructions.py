@@ -526,8 +526,11 @@ def _assert_same_as_reference(got, want, cube):
     assert row == want.output_gate.form._integer_row(width)
     assert all(type(v) is int for v in row[0])
     low, ref = got._lowered, want._lowered
-    for field in ("bound", "output_den", "products", "output", "skip"):
+    for field in ("bound", "output_den", "products", "top"):
         assert getattr(low, field) == getattr(ref, field), field
+    for field in ("output", "skip"):
+        (row, scale), (ref_row, ref_scale) = getattr(low, field), getattr(ref, field)
+        assert (row.dtype, row.tolist(), scale) == (ref_row.dtype, ref_row.tolist(), ref_scale)
     if cube:
         fwd, ref_fwd = forward_on_cube(got), forward_on_cube(want)
         assert fwd.output_pre_num.tolist() == ref_fwd.output_pre_num.tolist()

@@ -367,10 +367,10 @@ def scans(monkeypatch):
     records = []
     slabs = pwl._grid_slabs
 
-    def spy(count, use_object):
-        record = {"object": use_object, "slabs": 0}
+    def spy(count, dtype):
+        record = {"object": dtype is object, "slabs": 0}
         records.append(record)
-        for slab in slabs(count, use_object):
+        for slab in slabs(count, dtype):
             record["slabs"] += 1
             yield slab
 
@@ -507,7 +507,7 @@ def test_scans_of_a_grid_wider_than_one_slab(scans):
     slabs = (side * side + 2**18 - 1) // 2**18
     assert slabs == 6
     # the slabs list every point once, in row-major order
-    k1, k2 = (np.concatenate(ks) for ks in zip(*pwl._grid_slabs(600, False)))
+    k1, k2 = (np.concatenate(ks) for ks in zip(*pwl._grid_slabs(600, np.int64)))
     axis = np.arange(-600, 601)
     assert np.array_equal(k1, np.repeat(axis, side))
     assert np.array_equal(k2, np.tile(axis, side))

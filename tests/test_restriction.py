@@ -1,8 +1,10 @@
 """Restrictions: gate classification, circuit collapse, selector claims, survival."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from relucirc import (
     sample_andreev_restriction,
     survival_experiment,
 )
+from relucirc import restriction as restriction_module
 from relucirc.hardfuncs import AndreevInput, andreev
 from relucirc.restriction import (
     Removability,
@@ -117,7 +120,7 @@ def test_single_linearized_gate_leaves_no_relus():
     c = Circuit(3, (gates,), out)
     rho = Restriction(3, {})
     report = apply_restriction(c, rho)
-    assert report.linearized == ("g1.1",)
+    assert report.linearized == (0,)
     assert report.restricted.relu_count == 0
     assert slice_matches(c, rho, report)
 
@@ -134,12 +137,12 @@ def test_all_surviving_gates_keep_the_size():
     c = Circuit(2, (gates,), out)
     rho = Restriction(2, {})
     report = apply_restriction(c, rho)
-    assert report.survivors == ("g1.1", "g1.2")
+    assert report.survivors == (0, 1)
     assert report.restricted.size == c.size
     assert slice_matches(c, rho, report)
 
 
-def test_report_ids_partition_the_bottom_layer():
+def test_report_positions_partition_the_bottom_layer():
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(2, 8)
@@ -147,8 +150,8 @@ def test_report_ids_partition_the_bottom_layer():
         fixed = {i: rng.choice((-1, 1)) for i in range(1, n + 1)
                  if rng.random() < 0.5}
         report = apply_restriction(c, Restriction(n, fixed))
-        ids = sorted(report.removed_as_zero + report.linearized + report.survivors)
-        assert ids == [f"g1.{j + 1}" for j in range(len(c.layers[0]))]
+        positions = sorted(report.removed_as_zero + report.linearized + report.survivors)
+        assert positions == list(range(len(c.layers[0])))
 
 
 def test_depth2_slice_equality_on_random_circuits():
@@ -225,8 +228,32 @@ def test_weights_past_int64_collapse_exactly():
         got.update(dict.fromkeys(report.linearized, Removability.LINEARIZED))
         got.update(dict.fromkeys(report.survivors, Removability.SURVIVES))
         for j, g in enumerate(gates):
-            assert got[f"g1.{j + 1}"] is brute_classification(g.form, rho)
-            assert removability(g.form, rho) is got[f"g1.{j + 1}"]
+            assert got[j] is brute_classification(g.form, rho)
+            assert removability(g.form, rho) is got[j]
+
+
+def test_only_the_depth_2_output_drops_explicit_zero_weights():
+    # both bottom gates survive the empty restriction; the readers hold an
+    # explicit zero weight on the first, as a document may
+    gates = (Gate(GateKind.RELU, form_of((1, 1), 0)), Gate(GateKind.RELU, form_of((1, -1), 0)))
+    reader = AffineForm({0: Fraction(0), 1: Fraction(1)}, Fraction(0))
+    rho = Restriction(2, {})
+    shallow = apply_restriction(Circuit(2, (gates,), Gate(GateKind.SUM, reader)), rho)
+    assert shallow.survivors == (0, 1)
+    assert dict(shallow.restricted.output_gate.form.weights) == {1: 1}
+    deep = Circuit(2, (gates, (Gate(GateKind.RELU, reader),)), Gate(GateKind.SUM, affine({0: 1})))
+    (second,) = apply_restriction(deep, rho).restricted.layers[1]
+    assert dict(second.form.weights) == {0: 0, 1: 1}
+
+
+def test_restriction_does_not_import_serialize():
+    tree = ast.parse(Path(restriction_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "serialize" not in (node.module or "").split(".")
+            assert "serialize" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all("serialize" not in alias.name.split(".") for alias in node.names)
 
 
 def test_fixing_everything_yields_an_input_free_circuit():
