@@ -622,10 +622,11 @@ class _Lowering:
             (skip_row,), skip_scale, (skip_abs,) = _lower_forms([circuit.skip_wires], n)
         else:
             skip_row, skip_scale, skip_abs = [0] * (n + 1), 1, 0
-        rows = ((out_row, out_scale, out_abs), (skip_row, skip_scale, skip_abs))
-        self.output, self.skip = (
-            (np.array(row, dtype=_exact_dtype(abs_sum + abs(row[-1]))), scale)
-            for row, scale, abs_sum in rows
+        self.output = (
+            np.array(out_row, dtype=_exact_dtype(out_abs + abs(out_row[-1]))), out_scale
+        )
+        self.skip = (
+            np.array(skip_row, dtype=_exact_dtype(skip_abs + abs(skip_row[-1]))), skip_scale
         )
         out_bound = (
             out_abs * bound * skip_scale
