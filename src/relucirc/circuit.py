@@ -373,8 +373,8 @@ def evaluate(circuit: Circuit, point: Sequence[Rational]) -> Fraction:
     """Evaluate the circuit at an arbitrary rational point (not just the cube).
 
     The point is scaled by the lcm of its denominators and run through the
-    same integer kernel as the cube enumerator, whose dtype its largest
-    scaled coordinate or the lcm picks (`_forward_exact`).
+    cube enumerator's kernel, with its largest scaled coordinate (or the lcm)
+    as the scale of the static bound that picks the dtype (`_forward_exact`).
     """
     if len(point) != circuit.input_count:
         raise ArityError(

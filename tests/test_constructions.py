@@ -530,7 +530,7 @@ def _assert_same_as_reference(got, want, cube):
         assert getattr(low, field) == getattr(ref, field), field
     for field in ("output", "skip"):
         (row, scale), (ref_row, ref_scale) = getattr(low, field), getattr(ref, field)
-        assert (row.dtype, row.tolist(), scale) == (ref_row.dtype, ref_row.tolist(), ref_scale)
+        assert (row.dtype, row.tolist(), scale) == (ref_row.dtype, ref_row.tolist(), ref_scale), field
     if cube:
         fwd, ref_fwd = forward_on_cube(got), forward_on_cube(want)
         assert fwd.output_pre_num.tolist() == ref_fwd.output_pre_num.tolist()
